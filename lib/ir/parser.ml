@@ -118,6 +118,13 @@ let number_token c =
   if c.pos = start then fail c.line "expected number";
   String.sub c.text start (c.pos - start)
 
+(* Every numeric literal goes through [of_string] here, so a malformed
+   or out-of-range number is a [Parse_error], never a stray [Failure]. *)
+let number c of_string tok =
+  match of_string tok with
+  | v -> v
+  | exception Failure _ -> fail c.line "bad number %S" tok
+
 let quoted_string c =
   skip_ws c;
   expect c "\"";
@@ -173,7 +180,7 @@ let rec parse_ty c : Ty.t =
     else if try_consume c "void" then Ty.Void
     else if try_consume c "%" then Ty.Struct (ident c)
     else if try_consume c "[" then begin
-      let n = int_of_string (digits c) in
+      let n = number c int_of_string (digits c) in
       expect c "x";
       let elem = parse_ty c in
       expect c "]";
@@ -208,7 +215,7 @@ let parse_operand c : Ir.operand =
   match peek c with
   | Some '%' ->
     expect c "%r";
-    Ir.Reg (int_of_string (digits c))
+    Ir.Reg (number c int_of_string (digits c))
   | Some '@' ->
     expect c "@";
     Ir.Global (ident c)
@@ -222,8 +229,8 @@ let parse_operand c : Ir.operand =
     let tok = number_token c in
     expect c ":";
     let ty = parse_ty c in
-    if Ty.is_float ty then Ir.Float (float_of_string tok, ty)
-    else Ir.Int (Int64.of_string tok, ty)
+    if Ty.is_float ty then Ir.Float (number c float_of_string tok, ty)
+    else Ir.Int (number c Int64.of_string tok, ty)
   | None -> fail c.line "expected operand"
 
 (* {1 Rvalues and instructions} *)
@@ -312,7 +319,7 @@ let parse_rvalue c : Ir.rvalue =
   | "alloca" ->
     let ty = parse_ty c in
     expect c "x";
-    Ir.Alloca (ty, int_of_string (digits c))
+    Ir.Alloca (ty, number c int_of_string (digits c))
   | "gep" ->
     let ty = parse_ty c in
     expect c ",";
@@ -366,7 +373,7 @@ let parse_instr c : Ir.instr =
   else if try_consume c "asm" then Ir.Asm (quoted_string c)
   else if peek c = Some '%' then begin
     expect c "%r";
-    let r = int_of_string (digits c) in
+    let r = number c int_of_string (digits c) in
     expect c "=";
     Ir.Assign (r, parse_rvalue c)
   end
@@ -390,7 +397,7 @@ let parse_terminator c : Ir.terminator option =
     let cases = ref [] in
     if not (try_consume c "]") then begin
       let rec loop () =
-        let value = Int64.of_string (number_token c) in
+        let value = number c Int64.of_string (number_token c) in
         expect c "->";
         let label = ident c in
         cases := (value, label) :: !cases;
@@ -431,8 +438,8 @@ let rec parse_init c : Ir.const_init =
     let tok = number_token c in
     expect c ":";
     let ty = parse_ty c in
-    if Ty.is_float ty then Ir.Float_init (float_of_string tok, ty)
-    else Ir.Int_init (Int64.of_string tok, ty)
+    if Ty.is_float ty then Ir.Float_init (number c float_of_string tok, ty)
+    else Ir.Int_init (number c Int64.of_string tok, ty)
   end
 
 (* {1 Top level} *)
@@ -580,7 +587,7 @@ let parse (text : string) : Ir.modul =
           if not (try_consume c ")") then begin
             let rec loop () =
               expect c "%r";
-              let r = int_of_string (digits c) in
+              let r = number c int_of_string (digits c) in
               expect c ":";
               let ty = parse_ty c in
               params := (r, ty) :: !params;

@@ -14,7 +14,9 @@
    capture are single blits over the slab, and scalar access goes
    through a one-entry TLB plus the stdlib's unaligned word primitives
    ([Bytes.get_int64_le] and friends) so the per-byte Hashtbl lookups
-   disappear from the interpreter's hot path. *)
+   disappear from the interpreter's hot path.  A profiler's touch
+   callback rides the same path: it fires once per page per access,
+   not once per byte (see the scalar-access notes below). *)
 
 exception Page_fault of int            (* page number, unhandled *)
 exception Bad_access of int * string   (* address, reason *)
@@ -35,7 +37,7 @@ type t = {
       (* must install the page (see [install_page]) or raise *)
   mutable track_dirty : bool;
   mutable on_touch : (int -> unit) option;
-      (* profiler hook: called with the page of every access *)
+      (* profiler hook: called once per page per access *)
   mutable fault_count : int;
 }
 
@@ -187,29 +189,40 @@ let write_byte t addr v =
 
 (* Word-width scalar access, the interpreter's hot path.
 
-   The fast path applies when the access stays inside one page and no
-   per-byte touch profiler is installed: one region check (regions are
-   page-aligned, so every byte of a same-page word shares the first
-   byte's region), one TLB translation, one unaligned word read or
-   write on the slab, and at most one dirty mark.  Otherwise we fall
-   back to [Scalar]'s byte loop over [read_byte]/[write_byte], which
-   preserves the exact per-byte touch-callback and fault order.
+   The fast path applies whenever the access stays inside one page:
+   one region check (regions are page-aligned, so every byte of a
+   same-page word shares the first byte's region), at most one touch
+   callback, one TLB translation, one unaligned word read or write on
+   the slab, and at most one dirty mark.  An access that crosses a page
+   falls back to [Scalar]'s byte loop over [read_byte]/[write_byte].
+
+   The touch contract is therefore once per page per access: the
+   callback sees every page an access lies in, each before that page
+   is translated (so before any fault it raises), but not once per
+   byte.  Consumers that collect page sets — the profiler — see
+   exactly the sets a per-byte callback produced.
 
    The byte order is always little-endian (the unified order);
    big-endian hosts go through the [Scalar] path in [Host]. *)
 
 let page_limit = Region.page_size
 
-let[@inline] no_touch t =
-  match t.on_touch with
-  | None -> true
-  | Some _ -> false
+(* Region check, touch callback and translation for an access at
+   [addr] (offset [in_page] in its page) that stays inside one page:
+   the access's byte offset in [slab].  Leaves [tlb_page] at the
+   access's page, which the store paths then mark dirty. *)
+let[@inline] admit t addr in_page =
+  check_mapped addr;
+  let page = Region.page_of_addr addr in
+  (match t.on_touch with
+  | Some callback -> callback page
+  | None -> ());
+  page_off t page lor in_page
 
 let load_le t addr nbytes =
   let in_page = Region.offset_in_page addr in
-  if no_touch t && in_page + nbytes <= page_limit then begin
-    check_mapped addr;
-    let base = page_off t (Region.page_of_addr addr) lor in_page in
+  if in_page + nbytes <= page_limit then begin
+    let base = admit t addr in_page in
     match nbytes with
     | 8 -> Bytes.get_int64_le t.slab base
     | 4 ->
@@ -220,7 +233,7 @@ let load_le t addr nbytes =
     | 1 -> Int64.of_int (Bytes.get_uint8 t.slab base)
     | _ ->
       Scalar.load_int No_arch.Arch.Little
-        ~read_byte:(fun a -> read_byte t a)
+        ~read_byte:(fun a -> Char.code (Bytes.get t.slab (base + a - addr)))
         addr nbytes
   end
   else
@@ -230,10 +243,8 @@ let load_le t addr nbytes =
 
 let store_le t addr nbytes value =
   let in_page = Region.offset_in_page addr in
-  if no_touch t && in_page + nbytes <= page_limit then begin
-    check_mapped addr;
-    let page = Region.page_of_addr addr in
-    let base = page_off t page lor in_page in
+  if in_page + nbytes <= page_limit then begin
+    let base = admit t addr in_page in
     (match nbytes with
     | 8 -> Bytes.set_int64_le t.slab base value
     | 4 ->
@@ -244,9 +255,10 @@ let store_le t addr nbytes value =
     | 1 -> Bytes.set_uint8 t.slab base (Int64.to_int value land 0xff)
     | _ ->
       Scalar.store_int No_arch.Arch.Little
-        ~write_byte:(fun a b -> write_byte t a b)
+        ~write_byte:(fun a b ->
+          Bytes.set t.slab (base + a - addr) (Char.chr (b land 0xff)))
         addr nbytes value);
-    if t.track_dirty then mark_dirty t page
+    if t.track_dirty then mark_dirty t t.tlb_page
   end
   else
     Scalar.store_int No_arch.Arch.Little
@@ -256,75 +268,54 @@ let store_le t addr nbytes value =
 (* Fast-path admission for callers that access the slab directly (the
    interpreter's fused chains, which must not box an int64 across a
    function return): the byte offset of [addr]'s word in [slab] when
-   the [nbytes] access stays inside one page and no touch profiler is
-   installed — performing the same region check, TLB translation and
-   fault service as [load_le]/[store_le] — or -1 when the caller must
-   take the [load_le]/[store_le] slow path.  [store_base] also marks
-   the page dirty (bookkeeping only; the order relative to the write
-   is unobservable). *)
+   the [nbytes] access stays inside one page — performing the same
+   region check, touch callback, TLB translation and fault service as
+   [load_le]/[store_le] — or -1 when the access crosses a page and the
+   caller must take the [load_le]/[store_le] slow path.  [store_base]
+   also marks the page dirty (bookkeeping only; the order relative to
+   the write is unobservable). *)
 
 let load_base t addr nbytes =
   let in_page = Region.offset_in_page addr in
-  if no_touch t && in_page + nbytes <= page_limit then begin
-    check_mapped addr;
-    page_off t (Region.page_of_addr addr) lor in_page
-  end
-  else -1
+  if in_page + nbytes <= page_limit then admit t addr in_page else -1
 
 let store_base t addr nbytes =
   let in_page = Region.offset_in_page addr in
-  if no_touch t && in_page + nbytes <= page_limit then begin
-    check_mapped addr;
-    let page = Region.page_of_addr addr in
-    let base = page_off t page lor in_page in
-    if t.track_dirty then mark_dirty t page;
+  if in_page + nbytes <= page_limit then begin
+    let base = admit t addr in_page in
+    if t.track_dirty then mark_dirty t t.tlb_page;
     base
   end
   else -1
 
 (* Bulk transfer helpers used by memcpy/memset builtins and by the
-   communication manager.  With no touch profiler installed these run
-   as one blit per page segment; segments are visited in ascending
-   address order, matching the per-byte loop's fault order. *)
+   communication manager: one admission (and so one touch callback)
+   and one blit per page segment, visited in ascending address order
+   — the order a per-byte loop would fault in. *)
 
 let read_block t addr len =
   let out = Bytes.create len in
-  if no_touch t then begin
-    let pos = ref 0 in
-    while !pos < len do
-      let a = addr + !pos in
-      let in_page = Region.offset_in_page a in
-      let seg = min (len - !pos) (page_limit - in_page) in
-      check_mapped a;
-      let base = page_off t (Region.page_of_addr a) lor in_page in
-      Bytes.blit t.slab base out !pos seg;
-      pos := !pos + seg
-    done
-  end
-  else
-    for i = 0 to len - 1 do
-      Bytes.set out i (Char.chr (read_byte t (addr + i)))
-    done;
+  let pos = ref 0 in
+  while !pos < len do
+    let a = addr + !pos in
+    let in_page = Region.offset_in_page a in
+    let seg = min (len - !pos) (page_limit - in_page) in
+    Bytes.blit t.slab (admit t a in_page) out !pos seg;
+    pos := !pos + seg
+  done;
   out
 
 let write_block t addr data =
   let len = Bytes.length data in
-  if no_touch t then begin
-    let pos = ref 0 in
-    while !pos < len do
-      let a = addr + !pos in
-      let in_page = Region.offset_in_page a in
-      let seg = min (len - !pos) (page_limit - in_page) in
-      check_mapped a;
-      let page = Region.page_of_addr a in
-      let base = page_off t page lor in_page in
-      Bytes.blit data !pos t.slab base seg;
-      if t.track_dirty then mark_dirty t page;
-      pos := !pos + seg
-    done
-  end
-  else
-    Bytes.iteri (fun i c -> write_byte t (addr + i) (Char.code c)) data
+  let pos = ref 0 in
+  while !pos < len do
+    let a = addr + !pos in
+    let in_page = Region.offset_in_page a in
+    let seg = min (len - !pos) (page_limit - in_page) in
+    Bytes.blit data !pos t.slab (admit t a in_page) seg;
+    if t.track_dirty then mark_dirty t t.tlb_page;
+    pos := !pos + seg
+  done
 
 (* Page-table style queries for the runtime. *)
 let resident_pages t =

@@ -10,7 +10,8 @@
 
     Pages are frames in one flat [Bytes.t] slab (see the implementation
     header): fault service, block transfer and snapshots are blits, and
-    scalar access uses a one-entry TLB plus unaligned word reads. *)
+    scalar access uses a one-entry TLB plus unaligned word reads, with
+    or without a touch callback installed. *)
 
 (** Unhandled fault, with the page number. *)
 exception Page_fault of int
@@ -34,7 +35,7 @@ type t = {
       (** must install the missing page or raise *)
   mutable track_dirty : bool;
   mutable on_touch : (int -> unit) option;
-      (** profiler hook, called with the page of every access *)
+      (** profiler hook, called once per page per access *)
   mutable fault_count : int;
 }
 
@@ -55,9 +56,9 @@ val load_le : t -> int -> int -> int64
 (** [load_le t addr nbytes] reads an [nbytes]-wide little-endian
     scalar ([nbytes] ≤ 8; the result's high bits are zero).
     Equivalent to [Scalar.load_int Little] over [read_byte] — same
-    faults, same touch callbacks — but a single word access on the
-    slab when the word stays inside one page and no touch profiler is
-    installed. *)
+    faults, and a touch callback for every page the word lies in — but
+    a single word access on the slab, with one callback, when the word
+    stays inside one page. *)
 
 val store_le : t -> int -> int -> int64 -> unit
 (** [store_le t addr nbytes v] writes the low [nbytes] bytes of [v]
@@ -67,16 +68,18 @@ val store_le : t -> int -> int -> int64 -> unit
 val load_base : t -> int -> int -> int
 (** [load_base t addr nbytes] admits a direct slab access: the byte
     offset of the word in [slab] (after the same region check, TLB
-    translation and fault service [load_le] performs), or [-1] when
-    the access crosses a page or a touch profiler is installed and
-    the caller must use [load_le].  Lets the interpreter read words
-    without boxing an int64 across a function boundary. *)
+    translation, touch callback and fault service [load_le] performs),
+    or [-1] when the access crosses a page and the caller must use
+    [load_le].  Lets the interpreter read words without boxing an
+    int64 across a function boundary. *)
 
 val store_base : t -> int -> int -> int
 (** Store twin of [load_base]; also marks the page dirty. *)
 
 val read_block : t -> int -> int -> Bytes.t
 val write_block : t -> int -> Bytes.t -> unit
+(** One blit, one fault check and one touch callback per page
+    segment, in ascending address order. *)
 
 val resident_pages : t -> int list
 val dirty_pages : t -> int list
@@ -88,6 +91,10 @@ val page_copy : t -> int -> Bytes.t
 (** Copy of a page's current contents, for transmission. *)
 
 val set_touch_callback : t -> (int -> unit) option -> unit
+(** Install (or remove) the touch hook.  It fires once per page per
+    access — a same-page scalar, each page segment of a block — before
+    that page is translated; only [read_byte]/[write_byte] and
+    page-crossing scalars call it per byte. *)
 
 type snapshot
 (** Deep copy of resident pages plus dirty/tracking state. *)

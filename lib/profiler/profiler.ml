@@ -49,8 +49,16 @@ type live_loop = {
   ll_pages : (int, unit) Hashtbl.t;
 }
 
+(* Per-function state, resolved on the function's first call. *)
+type func = {
+  fn_acc : acc;
+  fn_headers : (string, Loops.loop) Hashtbl.t;  (* header label -> loop *)
+  mutable fn_active : int;      (* frames of this function on the stack *)
+}
+
 type frame = {
   fr_func : string;
+  fr_fn : func;
   fr_start : float;
   fr_outermost : bool;          (* recursion: only outermost is timed *)
   fr_pages : (int, unit) Hashtbl.t;
@@ -59,10 +67,18 @@ type frame = {
 
 type t = {
   host : Host.t;
-  loops : Loops.loop list;
+  headers : (string, (string, Loops.loop) Hashtbl.t) Hashtbl.t;
+      (* function -> header label -> loop, first loop per key wins *)
+  funcs : (string, func) Hashtbl.t;
   accs : (string, acc) Hashtbl.t;       (* key: kind-qualified name *)
   mutable stack : frame list;
-  saved_hooks : Host.hooks;
+  mutable last_page : int;
+      (* page last added to every open frame and loop; -1 after one
+         opens, when the next touch must be recorded again *)
+  saved_enter : string -> unit;         (* hooks in place before [attach] *)
+  saved_exit : string -> unit;
+  saved_block : string -> string -> unit;
+  saved_touch : (int -> unit) option;
 }
 
 let key kind name =
@@ -87,27 +103,43 @@ let close_loop t (ll : live_loop) =
   ll.ll_acc.a_mem_bytes <-
     max ll.ll_acc.a_mem_bytes (Hashtbl.length ll.ll_pages * Region.page_size)
 
+let no_headers : (string, Loops.loop) Hashtbl.t = Hashtbl.create 1
+
+let func_state t fname =
+  match Hashtbl.find_opt t.funcs fname with
+  | Some fn -> fn
+  | None ->
+    let fn =
+      { fn_acc = get_acc t Func fname fname;
+        fn_headers =
+          Option.value (Hashtbl.find_opt t.headers fname) ~default:no_headers;
+        fn_active = 0 }
+    in
+    Hashtbl.replace t.funcs fname fn;
+    fn
+
 let on_enter t fname =
-  let outermost =
-    not (List.exists (fun fr -> String.equal fr.fr_func fname) t.stack)
-  in
-  let acc = get_acc t Func fname fname in
-  acc.a_invocations <- acc.a_invocations + 1;
+  let fn = func_state t fname in
+  fn.fn_acc.a_invocations <- fn.fn_acc.a_invocations + 1;
   t.stack <-
-    { fr_func = fname; fr_start = now t; fr_outermost = outermost;
-      fr_pages = Hashtbl.create 64; fr_loops = [] }
-    :: t.stack
+    { fr_func = fname; fr_fn = fn; fr_start = now t;
+      fr_outermost = fn.fn_active = 0; fr_pages = Hashtbl.create 64;
+      fr_loops = [] }
+    :: t.stack;
+  fn.fn_active <- fn.fn_active + 1;
+  t.last_page <- -1
 
 let on_exit t fname =
   match t.stack with
   | fr :: rest when String.equal fr.fr_func fname ->
     List.iter (close_loop t) fr.fr_loops;
-    let acc = get_acc t Func fname fname in
+    let acc = fr.fr_fn.fn_acc in
     if fr.fr_outermost then begin
       acc.a_time <- acc.a_time +. (now t -. fr.fr_start);
       acc.a_mem_bytes <-
         max acc.a_mem_bytes (Hashtbl.length fr.fr_pages * Region.page_size)
     end;
+    fr.fr_fn.fn_active <- fr.fr_fn.fn_active - 1;
     t.stack <- rest
   | _ ->
     (* Unbalanced exit: drop silently (a trap unwound the stack). *)
@@ -127,13 +159,7 @@ let on_block t fname label =
     in
     fr.fr_loops <- close_stale fr.fr_loops;
     (* Entering a loop header: either a new invocation or an iteration. *)
-    match
-      List.find_opt
-        (fun (l : Loops.loop) ->
-          String.equal l.Loops.l_func fname
-          && String.equal l.Loops.l_header label)
-        t.loops
-    with
+    match Hashtbl.find_opt fr.fr_fn.fn_headers label with
     | None -> ()
     | Some loop -> (
       match fr.fr_loops with
@@ -146,35 +172,66 @@ let on_block t fname label =
         fr.fr_loops <-
           { ll_loop = loop; ll_acc = acc; ll_start = now t;
             ll_pages = Hashtbl.create 64 }
-          :: fr.fr_loops))
+          :: fr.fr_loops;
+        t.last_page <- -1))
   | _ -> ()
 
+(* Every open frame and loop collects the page.  A repeat of the last
+   page is skipped: every set still open already holds it. *)
 let on_touch t page =
+  if page <> t.last_page then begin
+    t.last_page <- page;
+    List.iter
+      (fun fr ->
+        Hashtbl.replace fr.fr_pages page ();
+        List.iter (fun ll -> Hashtbl.replace ll.ll_pages page ()) fr.fr_loops)
+      t.stack
+  end
+
+(* (function, header) -> loop, keeping the first loop per key as a
+   front-to-back scan of [loops] would find it. *)
+let header_table loops =
+  let headers = Hashtbl.create 64 in
   List.iter
-    (fun fr ->
-      Hashtbl.replace fr.fr_pages page ();
-      List.iter (fun ll -> Hashtbl.replace ll.ll_pages page ()) fr.fr_loops)
-    t.stack
+    (fun (l : Loops.loop) ->
+      let by_label =
+        match Hashtbl.find_opt headers l.Loops.l_func with
+        | Some tbl -> tbl
+        | None ->
+          let tbl = Hashtbl.create 8 in
+          Hashtbl.replace headers l.Loops.l_func tbl;
+          tbl
+      in
+      if not (Hashtbl.mem by_label l.Loops.l_header) then
+        Hashtbl.replace by_label l.Loops.l_header l)
+    loops;
+  headers
 
 (* Attach a profiler to [host]; returns the handle to read results
    from after the profiled run. *)
 let attach (host : Host.t) : t =
-  let loops = Loops.loops_of_module host.Host.modul in
+  let hooks = host.Host.hooks in
   let t =
-    { host; loops; accs = Hashtbl.create 64; stack = [];
-      saved_hooks = host.Host.hooks }
+    { host;
+      headers = header_table (Loops.loops_of_module host.Host.modul);
+      funcs = Hashtbl.create 64; accs = Hashtbl.create 64; stack = [];
+      last_page = -1;
+      saved_enter = hooks.Host.on_enter; saved_exit = hooks.Host.on_exit;
+      saved_block = hooks.Host.on_block;
+      saved_touch = host.Host.mem.Memory.on_touch }
   in
-  host.Host.hooks.Host.on_enter <- on_enter t;
-  host.Host.hooks.Host.on_exit <- on_exit t;
-  host.Host.hooks.Host.on_block <- on_block t;
+  hooks.Host.on_enter <- on_enter t;
+  hooks.Host.on_exit <- on_exit t;
+  hooks.Host.on_block <- on_block t;
   Memory.set_touch_callback host.Host.mem (Some (on_touch t));
   t
 
 let detach t =
-  t.host.Host.hooks.Host.on_enter <- (fun _ -> ());
-  t.host.Host.hooks.Host.on_exit <- (fun _ -> ());
-  t.host.Host.hooks.Host.on_block <- (fun _ _ -> ());
-  Memory.set_touch_callback t.host.Host.mem None
+  let hooks = t.host.Host.hooks in
+  hooks.Host.on_enter <- t.saved_enter;
+  hooks.Host.on_exit <- t.saved_exit;
+  hooks.Host.on_block <- t.saved_block;
+  Memory.set_touch_callback t.host.Host.mem t.saved_touch
 
 let results t : sample list =
   Hashtbl.fold

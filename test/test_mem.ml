@@ -135,6 +135,113 @@ let prop_uva_no_overlap =
       in
       disjoint sorted)
 
+(* QCheck: the touch contract.  A random sequence of scalar and block
+   accesses, many straddling page boundaries, runs on two memories —
+   one with a touch callback, one without.  Each access reports
+   exactly the pages its bytes lie in (once each, unless it is a
+   page-crossing scalar, which keeps the byte loop), and both memories
+   load the same values and end with the same pages, bytes and dirty
+   set. *)
+type touch_op =
+  | Load of int * int                   (* addr, width *)
+  | Store of int * int * int64
+  | Base of int * int                   (* load_base admission *)
+  | Read of int * int                   (* addr, length *)
+  | Write of int * string
+
+let gen_touch_op =
+  let open QCheck.Gen in
+  let addr =
+    let* page = int_range 0 3 in
+    let* off =
+      oneof [ int_bound (Region.page_size - 1);
+              map (fun k -> Region.page_size - k) (int_range 1 9) ]
+    in
+    return (heap_addr ((page * Region.page_size) + off))
+  in
+  let width = oneofl [ 1; 2; 4; 8 ] in
+  oneof
+    [ map2 (fun a w -> Load (a, w)) addr width;
+      map3 (fun a w v -> Store (a, w, v)) addr width ui64;
+      map2 (fun a w -> Base (a, w)) addr width;
+      map2 (fun a n -> Read (a, n)) addr (int_range 0 9000);
+      map2 (fun a s -> Write (a, s)) addr
+        (string_size ~gen:printable (int_range 0 9000)) ]
+
+let show_touch_op = function
+  | Load (a, w) -> Printf.sprintf "load %#x/%d" a w
+  | Store (a, w, v) -> Printf.sprintf "store %#x/%d %Ld" a w v
+  | Base (a, w) -> Printf.sprintf "base %#x/%d" a w
+  | Read (a, n) -> Printf.sprintf "read %#x+%d" a n
+  | Write (a, s) -> Printf.sprintf "write %#x+%d" a (String.length s)
+
+let prop_touch_once_per_page =
+  QCheck.Test.make ~name:"touch callback once per page per access"
+    ~count:200
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_touch_op ops))
+       QCheck.Gen.(list_size (int_range 1 40) gen_touch_op))
+    (fun ops ->
+      let touched = Memory.create Memory.Home in
+      let plain = Memory.create Memory.Home in
+      touched.Memory.track_dirty <- true;
+      plain.Memory.track_dirty <- true;
+      let seen = ref [] in
+      Memory.set_touch_callback touched (Some (fun p -> seen := p :: !seen));
+      let access op =
+        seen := [];
+        let addr, len, per_byte =
+          match op with
+          | Load (a, w) | Base (a, w) ->
+            (a, w, Region.offset_in_page a + w > Region.page_size)
+          | Store (a, w, v) ->
+            Memory.store_le touched a w v;
+            Memory.store_le plain a w v;
+            (a, w, Region.offset_in_page a + w > Region.page_size)
+          | Read (a, n) -> (a, n, false)
+          | Write (a, s) ->
+            Memory.write_block touched a (Bytes.of_string s);
+            Memory.write_block plain a (Bytes.of_string s);
+            (a, String.length s, false)
+        in
+        let same_values =
+          match op with
+          | Load (a, w) ->
+            Int64.equal (Memory.load_le touched a w) (Memory.load_le plain a w)
+          | Base (a, w) ->
+            (* -1 sends the caller to [load_le], as the interpreter does *)
+            let base = Memory.load_base touched a w in
+            if base < 0 then
+              Int64.equal (Memory.load_le touched a w)
+                (Memory.load_le plain a w)
+            else
+              Bytes.equal
+                (Bytes.sub touched.Memory.slab base w)
+                (Memory.read_block plain a w)
+          | Read (a, n) ->
+            Bytes.equal (Memory.read_block touched a n)
+              (Memory.read_block plain a n)
+          | Store _ | Write _ -> true
+        in
+        let expected =
+          List.sort_uniq compare
+            (List.init len (fun i -> Region.page_of_addr (addr + i)))
+        in
+        same_values
+        && List.sort_uniq compare !seen = expected
+        && (per_byte || List.length !seen = List.length expected)
+      in
+      let all_agree = List.for_all access ops in
+      let pages = Memory.resident_pages touched in
+      all_agree
+      && pages = Memory.resident_pages plain
+      && Memory.dirty_pages touched = Memory.dirty_pages plain
+      && List.for_all
+           (fun p ->
+             Bytes.equal (Memory.page_copy touched p)
+               (Memory.page_copy plain p))
+           pages)
+
 let test_stack_regions () =
   let s = Stack_alloc.mobile () in
   let mark = Stack_alloc.frame_mark s in
@@ -204,6 +311,7 @@ let tests =
     Alcotest.test_case "uva basics" `Quick test_uva_basics;
     Alcotest.test_case "uva coalescing" `Quick test_uva_coalescing;
     QCheck_alcotest.to_alcotest prop_uva_no_overlap;
+    QCheck_alcotest.to_alcotest prop_touch_once_per_page;
     Alcotest.test_case "stack regions" `Quick test_stack_regions;
     QCheck_alcotest.to_alcotest prop_scalar_roundtrip;
     QCheck_alcotest.to_alcotest prop_bswap_involution;

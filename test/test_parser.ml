@@ -72,8 +72,50 @@ let test_parse_errors () =
   expect_error "nonsense line";
   expect_error "module m\nfn f() -> i64 {\nentry:\n  ret 1:i64\n";
   (* unterminated fn *)
-  expect_error "module m\nfn f() -> i64 {\n  %r0 = add 1:i64, 2:i64\n}\n"
+  expect_error "module m\nfn f() -> i64 {\n  %r0 = add 1:i64, 2:i64\n}\n";
   (* instr outside block *)
+  let expect_error_at line src =
+    match Parser.parse src with
+    | _ -> Alcotest.fail "expected parse error"
+    | exception Parser.Parse_error (l, _) ->
+      Alcotest.(check int) "error line" line l
+  in
+  expect_error_at 4
+    "module m\nfn f() -> i64 {\nentry:\n  ret 99999999999999999999:i64\n}\n";
+  (* out-of-range i64 literal *)
+  expect_error_at 2 "module m\nglobal @g : [99999999999999999999 x i8] = zero\n";
+  (* overlong array length *)
+  expect_error_at 4
+    "module m\nfn f() -> i64 {\nentry:\n  ret 2e:i64\n}\n"
+  (* malformed integer literal *)
+
+(* Seeded single-byte mutants of a real program: each one parses or
+   fails with [Parse_error] — no stray [Failure] or [Invalid_argument]. *)
+let primes_source =
+  lazy
+    (let path =
+       List.find Sys.file_exists
+         [ "../examples/programs/primes.ir"; "examples/programs/primes.ir" ]
+     in
+     In_channel.with_open_bin path In_channel.input_all)
+
+let prop_mutants_fail_cleanly =
+  let mutant =
+    QCheck.Gen.(
+      pair nat
+        (oneof [ char; oneofl [ '0'; '9'; 'x'; 'e'; 'f'; 'a'; 'n'; '-'; '.' ] ]))
+  in
+  QCheck.Test.make ~name:"primes.ir mutants fail only with Parse_error"
+    ~count:5000
+    (QCheck.make
+       ~print:(fun (pos, ch) -> Printf.sprintf "byte %d (mod length) := %C" pos ch)
+       mutant)
+    (fun (pos, ch) ->
+      let text = Bytes.of_string (Lazy.force primes_source) in
+      Bytes.set text (pos mod Bytes.length text) ch;
+      match Parser.parse (Bytes.to_string text) with
+      | _ -> true
+      | exception Parser.Parse_error _ -> true)
 
 let roundtrip (m : Ir.modul) =
   let printed = Pretty.modul_to_string m in
@@ -101,6 +143,8 @@ let tests =
     Alcotest.test_case "parse minimal" `Quick test_parse_minimal;
     Alcotest.test_case "parse control flow" `Quick test_parse_control_flow;
     Alcotest.test_case "parse errors" `Quick test_parse_errors;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 2015 |])
+      prop_mutants_fail_cleanly;
     Alcotest.test_case "roundtrip all workloads" `Quick
       test_roundtrip_workloads;
   ]

@@ -53,10 +53,13 @@ let build () =
   in
   B.finish t
 
-let profile () =
+let make_host () =
   let m = build () in
   let layout = Layout.env_of_arch Arch.arm32 ~structs:(Ir.find_struct_exn m) in
-  let host = Host.create ~arch:Arch.arm32 ~role:Host.Mobile ~modul:m ~layout () in
+  Host.create ~arch:Arch.arm32 ~role:Host.Mobile ~modul:m ~layout ()
+
+let profile () =
+  let host = make_host () in
   let profiler = Profiler.attach host in
   ignore (Interp.run_main host);
   Profiler.detach profiler;
@@ -109,10 +112,57 @@ let test_recursion () =
   Alcotest.(check bool) "rec time <= main time" true
     (rec_s.Profiler.s_time <= main.Profiler.s_time)
 
+(* Hooks installed before [attach] come back at [detach]. *)
+let test_detach_restores_hooks () =
+  let host = make_host () in
+  let entered = ref 0 in
+  let mine _ = incr entered in
+  host.Host.hooks.Host.on_enter <- mine;
+  let profiler = Profiler.attach host in
+  ignore (Interp.run_main host);
+  Profiler.detach profiler;
+  Alcotest.(check int) "profiler owned the hook while attached" 0 !entered;
+  Alcotest.(check bool) "pre-installed on_enter restored" true
+    (host.Host.hooks.Host.on_enter == mine);
+  Alcotest.(check bool) "no touch callback left behind" true
+    (Option.is_none host.Host.mem.No_mem.Memory.on_touch);
+  ignore (Interp.run_main host);
+  Alcotest.(check bool) "restored hook fires" true (!entered > 0)
+
+(* Golden equivalence: the profiler's results over every registry
+   program, digested.  Any change to the profiler or to the memory
+   touch hook must leave every sample bit-identical. *)
+let golden_digest = "cbd1076c9784c60973d5822a0ad2b092"
+
+let registry_digest () =
+  let buf = Buffer.create 65536 in
+  List.iter
+    (fun (e : No_workloads.Registry.entry) ->
+      Native_offloader.Compiler.profile
+        ~script:e.No_workloads.Registry.e_profile_script
+        ~files:e.No_workloads.Registry.e_files
+        (e.No_workloads.Registry.e_build ())
+      |> List.sort compare
+      |> List.iter (fun (s : Profiler.sample) ->
+             Buffer.add_string buf
+               (Printf.sprintf "%s %s %h %d %d %d\n" s.Profiler.s_name
+                  s.Profiler.s_in_func s.Profiler.s_time
+                  s.Profiler.s_invocations s.Profiler.s_iterations
+                  s.Profiler.s_mem_bytes)))
+    No_workloads.Registry.spec;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_golden_registry () =
+  Alcotest.(check string) "registry profile digest" golden_digest
+    (registry_digest ())
+
 let tests =
   [
     Alcotest.test_case "counts" `Quick test_counts;
     Alcotest.test_case "inclusive times" `Quick test_inclusive_times;
     Alcotest.test_case "memory footprint" `Quick test_memory_footprint;
     Alcotest.test_case "recursion" `Quick test_recursion;
+    Alcotest.test_case "detach restores hooks" `Quick
+      test_detach_restores_hooks;
+    Alcotest.test_case "golden registry digest" `Slow test_golden_registry;
   ]
