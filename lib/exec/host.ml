@@ -74,27 +74,61 @@ type crv =
 
 (* {2 Fused straight-line chains}
 
-   A run of integer instructions whose intermediates never escape the
-   run is compiled to a [chain]: a micro-op program over a per-frame
-   [float array] scratch.  Int64 bit patterns are stored with
-   [Int64.float_of_bits] — a flat float array is the one unboxed
-   mutable store the non-flambda compiler gives us, and bits_of_float/
-   float_of_bits of values consumed by int64 primitives stay unboxed —
-   so a fused add/xor/shift/load/store allocates nothing.  Only chain
-   inputs (register preloads) and live-out results touch boxed
-   {!Value.t}s.
+   A run of arithmetic, compare, memory and cast instructions whose
+   intermediates never escape the run is compiled to a [chain]: a
+   micro-op program over a per-frame [float array] scratch — the one
+   unboxed mutable store the non-flambda compiler gives us.  Each slot
+   has exactly one kind.  An int slot holds an int64 bit pattern via
+   [Int64.float_of_bits] (bits_of_float/float_of_bits of values
+   consumed by int64 primitives stay unboxed); a float slot holds the
+   float itself.  So a fused add, fmul, division, load or store
+   allocates nothing: only chain inputs (register preloads) and
+   live-out results touch boxed {!Value.t}s.
 
    Observable equivalence: each micro-op performs the same fuel check,
    instruction count bump and clock charge (same floats, same order)
-   as the instruction it replaces; loads and stores go through the
-   same memory entry points (same faults, same dirty marks, same touch
-   callbacks); division, float arithmetic and calls are never fused.
-   Dead intermediates simply stop being written to the register file,
-   which nothing can observe — hooks see labels, not registers, and an
-   abandoned frame's registers die with it. *)
+   as the instruction it replaces, and divisions test for zero after
+   that charge, raising the same trap.  Loads and stores go through
+   the same memory entry points (same faults, same dirty marks, same
+   touch callbacks).  A preload reads its register at the slot's kind
+   through [Value.to_int]/[Value.to_float], so an ill-typed register
+   raises the [Type_trap] message the unfused instruction would have
+   raised (before the chain's first charge, where the unfused run
+   charged the reading instruction first); an operand whose slot
+   already has the other kind ends the chain and runs boxed.
+   [Eq]/[Ne] (mixed-kind tolerant), [Select], [Bitcast] and [Fp_ext]
+   (type-agnostic identities), calls, and every memory op on a
+   big-endian host are never fused.  Dead intermediates simply stop
+   being written to the register file, which nothing can observe —
+   hooks see labels, not registers, and an abandoned frame's registers
+   die with it. *)
+
+(* Slot kinds.  A bool is an int slot whose live-out boxes to the
+   shared [Value.vtrue]/[Value.vfalse]. *)
+let kind_int = 0
+let kind_bool = 1
+let kind_float = 2
+
+type mop =
+  | M_add | M_sub | M_mul | M_and | M_or | M_xor | M_shl | M_lshr | M_ashr
+  | M_sdiv | M_udiv | M_srem | M_urem      (* trap on a zero divisor *)
+  | M_slt | M_sle | M_sgt | M_sge | M_ult | M_ule | M_ugt | M_uge
+  | M_fadd | M_fsub | M_fmul | M_fdiv
+  | M_feq | M_fne | M_flt | M_fle | M_fgt | M_fge
+  | M_load          (* mo_n bytes, then sign-shift mo_k; f64 bits as-is *)
+  | M_load_f32
+  | M_store         (* value mo_a, addr mo_b, mo_n bytes; f64 bits as-is *)
+  | M_store_f32
+  | M_gep           (* base mo_a + mo_k + idx mo_b * mo_n *)
+  | M_move
+  | M_canon         (* (x shl mo_n) asr mo_n *)
+  | M_zext          (* zero-fill mo_n then canon mo_k *)
+  | M_si_to_fp
+  | M_fp_to_si      (* then canon mo_n *)
+  | M_fp_trunc
 
 type micro = {
-  mo_op : int;                  (* mo_* opcode below *)
+  mo_op : mop;
   mo_dst : int;                 (* scratch slot; -1 for stores *)
   mo_a : int;                   (* first operand slot *)
   mo_b : int;                   (* second operand slot; -1 if absent *)
@@ -102,41 +136,13 @@ type micro = {
   mo_k : int;                   (* sign-extend shift / gep constant *)
 }
 
-(* Opcode space: 0..8 binops, 9..16 ordered integer compares (the
-   operand order of [Int64.compare]/[unsigned_compare] is baked in),
-   then memory and cast ops. *)
-let mo_add = 0
-let mo_sub = 1
-let mo_mul = 2
-let mo_and = 3
-let mo_or = 4
-let mo_xor = 5
-let mo_shl = 6
-let mo_lshr = 7
-let mo_ashr = 8
-let mo_slt = 9
-let mo_sle = 10
-let mo_sgt = 11
-let mo_sge = 12
-let mo_ult = 13
-let mo_ule = 14
-let mo_ugt = 15
-let mo_uge = 16
-let mo_load = 17                 (* mo_n bytes, then sign-shift mo_k *)
-let mo_store = 18                (* value mo_a, addr mo_b, mo_n bytes *)
-let mo_gep = 19                  (* base mo_a + mo_k + idx mo_b * mo_n *)
-let mo_move = 20
-let mo_canon = 21                (* (x shl mo_n) asr mo_n *)
-let mo_zext = 22                 (* zero-fill mo_n then canon mo_k *)
-
 type chain = {
-  ch_pre : int array;            (* slot, reg pairs: boxed reads in *)
+  ch_pre : int array;            (* slot, reg, kind triples: boxed reads in *)
   ch_imm_slots : int array;      (* constant slots ... *)
-  ch_imm_vals : float array;     (* ... and their bit patterns *)
+  ch_imm_vals : float array;     (* ... and their slot contents *)
   ch_ops : micro array;
   ch_costs : float array;        (* seconds per micro-op, this arch *)
-  ch_post : int array;           (* reg, slot, is_bool triples out *)
-  ch_slots : int;
+  ch_post : int array;           (* reg, slot, kind triples out *)
 }
 
 type cinstr =
@@ -237,36 +243,46 @@ let reg_read_counts (f : Ir.func) : int array =
     f.Ir.f_blocks;
   counts
 
-let int_binop_code (op : Ir.binop) =
+(* Micro-op and operand kind of a binop; every binop fuses. *)
+let binop_code (op : Ir.binop) =
   match op with
-  | Ir.Add -> Some mo_add
-  | Ir.Sub -> Some mo_sub
-  | Ir.Mul -> Some mo_mul
-  | Ir.And -> Some mo_and
-  | Ir.Or -> Some mo_or
-  | Ir.Xor -> Some mo_xor
-  | Ir.Shl -> Some mo_shl
-  | Ir.Lshr -> Some mo_lshr
-  | Ir.Ashr -> Some mo_ashr
-  (* Divisions trap on zero: their trap-vs-charge ordering stays on
-     the interpreted path.  Float ops don't fit int slots. *)
-  | Ir.Sdiv | Ir.Udiv | Ir.Srem | Ir.Urem
-  | Ir.Fadd | Ir.Fsub | Ir.Fmul | Ir.Fdiv -> None
+  | Ir.Add -> (M_add, kind_int)
+  | Ir.Sub -> (M_sub, kind_int)
+  | Ir.Mul -> (M_mul, kind_int)
+  | Ir.Sdiv -> (M_sdiv, kind_int)
+  | Ir.Udiv -> (M_udiv, kind_int)
+  | Ir.Srem -> (M_srem, kind_int)
+  | Ir.Urem -> (M_urem, kind_int)
+  | Ir.And -> (M_and, kind_int)
+  | Ir.Or -> (M_or, kind_int)
+  | Ir.Xor -> (M_xor, kind_int)
+  | Ir.Shl -> (M_shl, kind_int)
+  | Ir.Lshr -> (M_lshr, kind_int)
+  | Ir.Ashr -> (M_ashr, kind_int)
+  | Ir.Fadd -> (M_fadd, kind_float)
+  | Ir.Fsub -> (M_fsub, kind_float)
+  | Ir.Fmul -> (M_fmul, kind_float)
+  | Ir.Fdiv -> (M_fdiv, kind_float)
 
-let int_cmp_code (op : Ir.cmpop) =
+let cmp_code (op : Ir.cmpop) =
   match op with
-  | Ir.Slt -> Some mo_slt
-  | Ir.Sle -> Some mo_sle
-  | Ir.Sgt -> Some mo_sgt
-  | Ir.Sge -> Some mo_sge
-  | Ir.Ult -> Some mo_ult
-  | Ir.Ule -> Some mo_ule
-  | Ir.Ugt -> Some mo_ugt
-  | Ir.Uge -> Some mo_uge
+  | Ir.Slt -> Some (M_slt, kind_int)
+  | Ir.Sle -> Some (M_sle, kind_int)
+  | Ir.Sgt -> Some (M_sgt, kind_int)
+  | Ir.Sge -> Some (M_sge, kind_int)
+  | Ir.Ult -> Some (M_ult, kind_int)
+  | Ir.Ule -> Some (M_ule, kind_int)
+  | Ir.Ugt -> Some (M_ugt, kind_int)
+  | Ir.Uge -> Some (M_uge, kind_int)
+  | Ir.Feq -> Some (M_feq, kind_float)
+  | Ir.Fne -> Some (M_fne, kind_float)
+  | Ir.Flt -> Some (M_flt, kind_float)
+  | Ir.Fle -> Some (M_fle, kind_float)
+  | Ir.Fgt -> Some (M_fgt, kind_float)
+  | Ir.Fge -> Some (M_fge, kind_float)
   (* Eq/Ne go through [Value.equal], which tolerates mixed int/float
-     operands; the slot representation would not. *)
-  | Ir.Eq | Ir.Ne
-  | Ir.Feq | Ir.Fne | Ir.Flt | Ir.Fle | Ir.Fgt | Ir.Fge -> None
+     operands; a kinded slot would not. *)
+  | Ir.Eq | Ir.Ne -> None
 
 let int_bits_of_ty (ty : Ty.t) =
   match ty with
@@ -277,39 +293,48 @@ let int_bits_of_ty (ty : Ty.t) =
   | Ty.F32 | Ty.F64 | Ty.Ptr _ | Ty.Fn_ptr _ | Ty.Struct _ | Ty.Array _
   | Ty.Void -> None
 
-(* Load/store width and post-load sign shift; ptr-width accesses are
-   unsigned (shift 0), matching [load_scalar]/[store_scalar].  Fused
-   memory ops read the little-endian slab word directly, so big-endian
-   hosts keep their loads and stores on the interpreted path. *)
+(* Width, post-load sign shift and slot kind of a fusible memory
+   access; ptr-width accesses are unsigned (shift 0), matching
+   [load_scalar]/[store_scalar].  An f64 slot holds exactly the bits
+   [Int64.float_of_bits] makes of the word, so f64 accesses share the
+   integer micro-ops; only f32 needs its own conversion.  Fused memory
+   ops read the little-endian slab word directly, so big-endian hosts
+   keep their loads and stores on the interpreted path. *)
 let mem_params arch (ty : Ty.t) =
   if arch.Arch.endianness <> Arch.Little then None
   else
-    match int_bits_of_ty ty with
-    | Some bits -> Some (bits / 8, 64 - bits)
-    | None -> (
-      match ty with
-      | Ty.Ptr _ | Ty.Fn_ptr _ -> Some (Arch.ptr_bytes arch, 0)
-      | _ -> None)
+    match ty with
+    | Ty.F64 -> Some (M_load, M_store, 8, 0, kind_float)
+    | Ty.F32 -> Some (M_load_f32, M_store_f32, 4, 0, kind_float)
+    | Ty.Ptr _ | Ty.Fn_ptr _ ->
+      Some (M_load, M_store, Arch.ptr_bytes arch, 0, kind_int)
+    | _ -> (
+      match int_bits_of_ty ty with
+      | Some bits -> Some (M_load, M_store, bits / 8, 64 - bits, kind_int)
+      | None -> None)
 
+(* Micro-op, mo_n, mo_k, operand kind and result kind of a fusible
+   cast. *)
 let cast_params (op : Ir.castop) (src : Ty.t) (dst : Ty.t) =
+  let canon_to_dst code src_kind =
+    match int_bits_of_ty dst with
+    | Some db -> Some (code, 64 - db, 0, src_kind, kind_int)
+    | None -> None
+  in
   match op with
   | Ir.Zext -> (
     match (int_bits_of_ty src, int_bits_of_ty dst) with
-    | Some sb, Some db -> Some (mo_zext, 64 - sb, 64 - db)
+    | Some sb, Some db ->
+      Some (M_zext, 64 - sb, 64 - db, kind_int, kind_int)
     | _ -> None)
-  | Ir.Sext | Ir.Trunc -> (
-    match int_bits_of_ty dst with
-    | Some db -> Some (mo_canon, 64 - db, 0)
-    | None -> None)
-  | Ir.Ptr_to_int -> (
-    match int_bits_of_ty dst with
-    | Some db -> Some (mo_canon, 64 - db, 0)
-    | None -> None)
-  | Ir.Int_to_ptr -> Some (mo_move, 0, 0)
-  | Ir.Bitcast                   (* identity on floats too; not fusible *)
-  | Ir.Fp_to_si | Ir.Si_to_fp | Ir.Fp_ext | Ir.Fp_trunc -> None
+  | Ir.Sext | Ir.Trunc | Ir.Ptr_to_int -> canon_to_dst M_canon kind_int
+  | Ir.Fp_to_si -> canon_to_dst M_fp_to_si kind_float
+  | Ir.Int_to_ptr -> Some (M_move, 0, 0, kind_int, kind_int)
+  | Ir.Si_to_fp -> Some (M_si_to_fp, 0, 0, kind_int, kind_float)
+  | Ir.Fp_trunc -> Some (M_fp_trunc, 0, 0, kind_float, kind_float)
+  | Ir.Bitcast | Ir.Fp_ext -> None     (* identities, even on mistyped values *)
 
-(* Rewrite a compiled block, replacing maximal runs of fusible integer
+(* Rewrite a compiled block, replacing maximal runs of fusible
    instructions with [C_chain] nodes.  Returns the block and the
    number of scratch slots its chains need. *)
 let fuse_block ~arch ~(reads : int array) (cb : cblock) : cblock * int =
@@ -317,15 +342,17 @@ let fuse_block ~arch ~(reads : int array) (cb : cblock) : cblock * int =
   let max_slots = ref 0 in
   (* Per-chain state. *)
   let next_slot = ref 0 in
+  let slot_kind : (int, int) Hashtbl.t = Hashtbl.create 8 in
   let slot_of_reg : (int, int) Hashtbl.t = Hashtbl.create 8 in
-  let imm_slot : (int64, int) Hashtbl.t = Hashtbl.create 8 in
+  let imm_slot : (int * int64, int) Hashtbl.t = Hashtbl.create 8 in
   let pre = ref [] and imms = ref [] and ops = ref [] in
-  let written : (int, bool) Hashtbl.t = Hashtbl.create 8 in
+  let written : (int, int) Hashtbl.t = Hashtbl.create 8 in  (* reg -> kind *)
   let chain_reads : (int, int) Hashtbl.t = Hashtbl.create 8 in
   let read_before_write : (int, unit) Hashtbl.t = Hashtbl.create 8 in
   let pending = ref [] in                  (* originals, for short chains *)
   let reset () =
     next_slot := 0;
+    Hashtbl.reset slot_kind;
     Hashtbl.reset slot_of_reg;
     Hashtbl.reset imm_slot;
     pre := []; imms := []; ops := [];
@@ -334,11 +361,37 @@ let fuse_block ~arch ~(reads : int array) (cb : cblock) : cblock * int =
     Hashtbl.reset read_before_write;
     pending := []
   in
-  let can_resolve = function
-    | C_reg _ | C_val (Value.VInt _) -> true
-    | C_val (Value.VFloat _) | C_slow_op _ -> false
+  let fits kind = function
+    | C_reg r -> (
+      match Hashtbl.find_opt slot_of_reg r with
+      | Some s -> Hashtbl.find slot_kind s = kind
+      | None -> true)
+    | C_val (Value.VInt _) -> kind = kind_int
+    | C_val (Value.VFloat _) -> kind = kind_float
+    | C_slow_op _ -> false
   in
-  let resolve (c : cop) : int =
+  (* Every (kind, operand) of one instruction fits, and a register the
+     chain has not bound yet is not read at two kinds. *)
+  let fusible operands =
+    List.for_all
+      (fun (k, c) ->
+        fits k c
+        && List.for_all
+             (fun (k', c') ->
+               match (c, c') with
+               | C_reg r, C_reg r' -> k = k' || r <> r'
+               | _ -> true)
+             operands)
+      operands
+  in
+  let new_slot kind =
+    let s = !next_slot in
+    incr next_slot;
+    Hashtbl.replace slot_kind s
+      (if kind = kind_float then kind_float else kind_int);
+    s
+  in
+  let resolve kind (c : cop) : int =
     match c with
     | C_reg r -> (
       Hashtbl.replace chain_reads r
@@ -346,40 +399,42 @@ let fuse_block ~arch ~(reads : int array) (cb : cblock) : cblock * int =
       match Hashtbl.find_opt slot_of_reg r with
       | Some s -> s
       | None ->
-        if not (Hashtbl.mem written r) then
-          Hashtbl.replace read_before_write r ();
-        let s = !next_slot in
-        incr next_slot;
+        Hashtbl.replace read_before_write r ();
+        let s = new_slot kind in
         Hashtbl.replace slot_of_reg r s;
-        pre := (s, r) :: !pre;
+        pre := (s, r, kind) :: !pre;
         s)
-    | C_val (Value.VInt v) -> (
-      match Hashtbl.find_opt imm_slot v with
+    | C_val v -> (
+      let key, contents =
+        match v with
+        | Value.VInt bits -> ((kind_int, bits), Int64.float_of_bits bits)
+        | Value.VFloat f -> ((kind_float, Int64.bits_of_float f), f)
+      in
+      match Hashtbl.find_opt imm_slot key with
       | Some s -> s
       | None ->
-        let s = !next_slot in
-        incr next_slot;
-        Hashtbl.replace imm_slot v s;
-        imms := (s, v) :: !imms;
+        let s = new_slot kind in
+        Hashtbl.replace imm_slot key s;
+        imms := (s, contents) :: !imms;
         s)
-    | C_val (Value.VFloat _) | C_slow_op _ -> assert false
+    | C_slow_op _ -> assert false
   in
-  let bind_write r is_bool =
-    let s = !next_slot in
-    incr next_slot;
+  let bind_write r kind =
+    let s = new_slot kind in
     Hashtbl.replace slot_of_reg r s;
-    Hashtbl.replace written r is_bool;
+    Hashtbl.replace written r kind;
     s
   in
-  let add instr cost m =
-    ops := (m, cost) :: !ops;
-    pending := (instr, cost) :: !pending
+  let add instr cost mo_op mo_dst mo_a mo_b mo_n mo_k =
+    ops := ({ mo_op; mo_dst; mo_a; mo_b; mo_n; mo_k }, cost) :: !ops;
+    pending := (instr, cost) :: !pending;
+    true
   in
   let flush () =
     (if List.length !ops >= 2 then begin
        let post =
          Hashtbl.fold
-           (fun r is_bool acc ->
+           (fun r kind acc ->
              let total =
                if r < Array.length reads then reads.(r) else max_int
              in
@@ -387,28 +442,22 @@ let fuse_block ~arch ~(reads : int array) (cb : cblock) : cblock * int =
                Option.value ~default:0 (Hashtbl.find_opt chain_reads r)
              in
              if total - inside > 0 || Hashtbl.mem read_before_write r then
-               (r, Hashtbl.find slot_of_reg r, is_bool) :: acc
+               (r, Hashtbl.find slot_of_reg r, kind) :: acc
              else acc)
            written []
        in
        let ops_l = List.rev !ops in
-       let flat3 l f =
-         Array.of_list (List.concat_map f l)
+       let flat3 l =
+         Array.of_list (List.concat_map (fun (a, b, c) -> [ a; b; c ]) l)
        in
        let chain =
          {
-           ch_pre =
-             flat3 (List.rev !pre) (fun (s, r) -> [ s; r ]);
-           ch_imm_slots =
-             Array.of_list (List.rev_map (fun (s, _) -> s) !imms);
-           ch_imm_vals =
-             Array.of_list
-               (List.rev_map (fun (_, v) -> Int64.float_of_bits v) !imms);
+           ch_pre = flat3 (List.rev !pre);
+           ch_imm_slots = Array.of_list (List.rev_map fst !imms);
+           ch_imm_vals = Array.of_list (List.rev_map snd !imms);
            ch_ops = Array.of_list (List.map fst ops_l);
            ch_costs = Array.of_list (List.map snd ops_l);
-           ch_post =
-             flat3 post (fun (r, s, b) -> [ r; s; (if b then 1 else 0) ]);
-           ch_slots = !next_slot;
+           ch_post = flat3 post;
          }
        in
        max_slots := max !max_slots !next_slot;
@@ -422,73 +471,55 @@ let fuse_block ~arch ~(reads : int array) (cb : cblock) : cblock * int =
     let instr = cb.cb_instrs.(i) and cost = cb.cb_costs.(i) in
     let fused =
       match instr with
-      | C_assign (r, C_bin (op, a, b)) -> (
-        match int_binop_code op with
-        | Some code when can_resolve a && can_resolve b ->
-          let sa = resolve a in
-          let sb = resolve b in
-          let d = bind_write r false in
-          add instr cost
-            { mo_op = code; mo_dst = d; mo_a = sa; mo_b = sb;
-              mo_n = 0; mo_k = 0 };
-          true
-        | _ -> false)
+      | C_assign (r, C_bin (op, a, b)) ->
+        let code, k = binop_code op in
+        if fusible [ (k, a); (k, b) ] then begin
+          let sa = resolve k a in
+          let sb = resolve k b in
+          add instr cost code (bind_write r k) sa sb 0 0
+        end
+        else false
       | C_assign (r, C_cmp (op, a, b)) -> (
-        match int_cmp_code op with
-        | Some code when can_resolve a && can_resolve b ->
-          let sa = resolve a in
-          let sb = resolve b in
-          let d = bind_write r true in
-          add instr cost
-            { mo_op = code; mo_dst = d; mo_a = sa; mo_b = sb;
-              mo_n = 0; mo_k = 0 };
-          true
+        match cmp_code op with
+        | Some (code, k) when fusible [ (k, a); (k, b) ] ->
+          let sa = resolve k a in
+          let sb = resolve k b in
+          add instr cost code (bind_write r kind_bool) sa sb 0 0
         | _ -> false)
       | C_assign (r, C_load (ty, a)) -> (
         match mem_params arch ty with
-        | Some (nbytes, shift) when can_resolve a ->
-          let sa = resolve a in
-          let d = bind_write r false in
-          add instr cost
-            { mo_op = mo_load; mo_dst = d; mo_a = sa; mo_b = -1;
-              mo_n = nbytes; mo_k = shift };
-          true
+        | Some (code, _, nbytes, shift, k) when fusible [ (kind_int, a) ] ->
+          let sa = resolve kind_int a in
+          add instr cost code (bind_write r k) sa (-1) nbytes shift
         | _ -> false)
       | C_store (ty, v, a) -> (
         match mem_params arch ty with
-        | Some (nbytes, _) when can_resolve v && can_resolve a ->
-          let sv = resolve v in
-          let sa = resolve a in
-          add instr cost
-            { mo_op = mo_store; mo_dst = -1; mo_a = sv; mo_b = sa;
-              mo_n = nbytes; mo_k = 0 };
-          true
+        | Some (_, code, nbytes, _, k) when fusible [ (kind_int, a); (k, v) ] ->
+          (* Address first: the unfused store converts it first. *)
+          let sa = resolve kind_int a in
+          let sv = resolve k v in
+          add instr cost code (-1) sv sa nbytes 0
         | _ -> false)
       | C_assign (r, C_gep (base, const, dyn))
-        when can_resolve base
-             && Array.length dyn <= 1
-             && (Array.length dyn = 0 || can_resolve (fst dyn.(0))) ->
-        let sb = resolve base in
+        when Array.length dyn <= 1
+             && fusible
+                  ((kind_int, base)
+                  :: List.map (fun (c, _) -> (kind_int, c)) (Array.to_list dyn))
+        ->
+        let sb = resolve kind_int base in
         let sidx, scale =
           if Array.length dyn = 0 then (-1, 0)
           else
             let c, size = dyn.(0) in
-            (resolve c, size)
+            (resolve kind_int c, size)
         in
-        let d = bind_write r false in
-        add instr cost
-          { mo_op = mo_gep; mo_dst = d; mo_a = sb; mo_b = sidx;
-            mo_n = scale; mo_k = const };
-        true
+        add instr cost M_gep (bind_write r kind_int) sb sidx scale const
       | C_assign (r, C_cast (op, src, a, dst)) -> (
         match cast_params op src dst with
-        | Some (code, n, k) when can_resolve a ->
-          let sa = resolve a in
-          let d = bind_write r false in
-          add instr cost
-            { mo_op = code; mo_dst = d; mo_a = sa; mo_b = -1;
-              mo_n = n; mo_k = k };
-          true
+        | Some (code, n, k, src_kind, dst_kind)
+          when fusible [ (src_kind, a) ] ->
+          let sa = resolve src_kind a in
+          add instr cost code (bind_write r dst_kind) sa (-1) n k
         | _ -> false)
       | C_assign _ | C_effect _ | C_asm | C_chain _ -> false
     in

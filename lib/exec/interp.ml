@@ -61,6 +61,18 @@ type frame = {
 
 let no_scratch : float array = [||]
 
+(* A chain's int slots hold int64 bit patterns, its bool slots 0 or 1. *)
+let[@inline] get_bits scratch s =
+  Int64.bits_of_float (Array.unsafe_get scratch s)
+
+let[@inline] set_bits scratch s v =
+  Array.unsafe_set scratch s (Int64.float_of_bits v)
+
+let true_bits = Int64.float_of_bits 1L
+
+let[@inline] set_bool scratch s b =
+  Array.unsafe_set scratch s (if b then true_bits else 0.0)
+
 let read_cstring host addr =
   let buf = Buffer.create 16 in
   let rec go a =
@@ -478,14 +490,14 @@ and run_blocks frame idx : Value.t =
   | Host.Ct_unreachable -> trap "%s: reached unreachable" fname
   | Host.Ct_slow term -> exec_slow_term frame term
 
-(* Fused integer chain (see Host.chain): preload the boxed inputs
-   into the frame's float-array scratch, run the micro-ops with the
-   same per-instruction fuel/count/clock sequence the unfused
+(* Fused chain (see Host.chain): preload the boxed inputs into the
+   frame's float-array scratch at their slots' kinds, run the micro-ops
+   with the same per-instruction fuel/count/clock sequence the unfused
    instructions performed, then box the live-outs back into the
-   register file.  All intermediate arithmetic stays unboxed: int64
-   bit patterns live in the flat float array via
+   register file.  All intermediate arithmetic stays unboxed: floats
+   live in the flat float array as themselves, int64 bit patterns via
    [Int64.float_of_bits], and the compiler keeps values consumed
-   directly by int64 primitives out of the heap. *)
+   directly by int64 and float primitives out of the heap. *)
 and exec_chain frame (ch : Host.chain) : unit =
   let host = frame.host in
   let scratch = frame.scratch in
@@ -494,11 +506,11 @@ and exec_chain frame (ch : Host.chain) : unit =
   let npre = Array.length pre in
   let p = ref 0 in
   while !p < npre do
-    Array.unsafe_set scratch
-      (Array.unsafe_get pre !p)
-      (Int64.float_of_bits
-         (Value.to_int (Array.unsafe_get regs (Array.unsafe_get pre (!p + 1)))));
-    p := !p + 2
+    let v = Array.unsafe_get regs (Array.unsafe_get pre (!p + 1)) in
+    Array.unsafe_set scratch (Array.unsafe_get pre !p)
+      (if Array.unsafe_get pre (!p + 2) = Host.kind_float then Value.to_float v
+       else Int64.float_of_bits (Value.to_int v));
+    p := !p + 3
   done;
   let islots = ch.Host.ch_imm_slots and ivals = ch.Host.ch_imm_vals in
   for j = 0 to Array.length islots - 1 do
@@ -514,42 +526,104 @@ and exec_chain frame (ch : Host.chain) : unit =
       host.Host.clock.Host.now
       +. (Array.unsafe_get costs j *. host.Host.slowdown);
     let m = Array.unsafe_get ops j in
-    let opc = m.Host.mo_op in
-    if opc <= 16 then begin
-      (* Binops and ordered compares: two slot operands. *)
-      let x = Int64.bits_of_float (Array.unsafe_get scratch m.Host.mo_a) in
-      let y = Int64.bits_of_float (Array.unsafe_get scratch m.Host.mo_b) in
-      if opc <= 8 then
-        Array.unsafe_set scratch m.Host.mo_dst
-          (Int64.float_of_bits
-             (match opc with
-             | 0 -> Int64.add x y
-             | 1 -> Int64.sub x y
-             | 2 -> Int64.mul x y
-             | 3 -> Int64.logand x y
-             | 4 -> Int64.logor x y
-             | 5 -> Int64.logxor x y
-             | 6 -> Int64.shift_left x (Int64.to_int y land 63)
-             | 7 -> Int64.shift_right_logical x (Int64.to_int y land 63)
-             | _ -> Int64.shift_right x (Int64.to_int y land 63)))
-      else
-        Array.unsafe_set scratch m.Host.mo_dst
-          (Int64.float_of_bits
-             (if
-                match opc with
-                | 9 -> Int64.compare x y < 0
-                | 10 -> Int64.compare x y <= 0
-                | 11 -> Int64.compare x y > 0
-                | 12 -> Int64.compare x y >= 0
-                | 13 -> Int64.unsigned_compare x y < 0
-                | 14 -> Int64.unsigned_compare x y <= 0
-                | 15 -> Int64.unsigned_compare x y > 0
-                | _ -> Int64.unsigned_compare x y >= 0
-              then 1L
-              else 0L))
-    end
-    else if opc = 17 (* load *) then begin
-      let a64 = Int64.bits_of_float (Array.unsafe_get scratch m.Host.mo_a) in
+    let d = m.Host.mo_dst and a = m.Host.mo_a and b = m.Host.mo_b in
+    match m.Host.mo_op with
+    | Host.M_add ->
+      set_bits scratch d (Int64.add (get_bits scratch a) (get_bits scratch b))
+    | Host.M_sub ->
+      set_bits scratch d (Int64.sub (get_bits scratch a) (get_bits scratch b))
+    | Host.M_mul ->
+      set_bits scratch d (Int64.mul (get_bits scratch a) (get_bits scratch b))
+    | Host.M_and ->
+      set_bits scratch d
+        (Int64.logand (get_bits scratch a) (get_bits scratch b))
+    | Host.M_or ->
+      set_bits scratch d (Int64.logor (get_bits scratch a) (get_bits scratch b))
+    | Host.M_xor ->
+      set_bits scratch d
+        (Int64.logxor (get_bits scratch a) (get_bits scratch b))
+    | Host.M_shl ->
+      set_bits scratch d
+        (Int64.shift_left (get_bits scratch a)
+           (Int64.to_int (get_bits scratch b) land 63))
+    | Host.M_lshr ->
+      set_bits scratch d
+        (Int64.shift_right_logical (get_bits scratch a)
+           (Int64.to_int (get_bits scratch b) land 63))
+    | Host.M_ashr ->
+      set_bits scratch d
+        (Int64.shift_right (get_bits scratch a)
+           (Int64.to_int (get_bits scratch b) land 63))
+    | Host.M_sdiv | Host.M_srem as op ->
+      (* Charged above, like the unfused division that traps. *)
+      let x = get_bits scratch a and y = get_bits scratch b in
+      if Int64.equal y 0L then raise (Trap "division by zero");
+      set_bits scratch d
+        (match op with Host.M_sdiv -> Int64.div x y | _ -> Int64.rem x y)
+    | Host.M_udiv | Host.M_urem as op ->
+      (* Kept apart: the stdlib's unsigned division returns boxed. *)
+      let x = get_bits scratch a and y = get_bits scratch b in
+      if Int64.equal y 0L then raise (Trap "division by zero");
+      set_bits scratch d
+        (match op with
+        | Host.M_udiv -> Int64.unsigned_div x y
+        | _ -> Int64.unsigned_rem x y)
+    | Host.M_slt ->
+      set_bool scratch d
+        (Int64.compare (get_bits scratch a) (get_bits scratch b) < 0)
+    | Host.M_sle ->
+      set_bool scratch d
+        (Int64.compare (get_bits scratch a) (get_bits scratch b) <= 0)
+    | Host.M_sgt ->
+      set_bool scratch d
+        (Int64.compare (get_bits scratch a) (get_bits scratch b) > 0)
+    | Host.M_sge ->
+      set_bool scratch d
+        (Int64.compare (get_bits scratch a) (get_bits scratch b) >= 0)
+    | Host.M_ult ->
+      set_bool scratch d
+        (Int64.unsigned_compare (get_bits scratch a) (get_bits scratch b) < 0)
+    | Host.M_ule ->
+      set_bool scratch d
+        (Int64.unsigned_compare (get_bits scratch a) (get_bits scratch b) <= 0)
+    | Host.M_ugt ->
+      set_bool scratch d
+        (Int64.unsigned_compare (get_bits scratch a) (get_bits scratch b) > 0)
+    | Host.M_uge ->
+      set_bool scratch d
+        (Int64.unsigned_compare (get_bits scratch a) (get_bits scratch b) >= 0)
+    | Host.M_fadd ->
+      Array.unsafe_set scratch d
+        (Array.unsafe_get scratch a +. Array.unsafe_get scratch b)
+    | Host.M_fsub ->
+      Array.unsafe_set scratch d
+        (Array.unsafe_get scratch a -. Array.unsafe_get scratch b)
+    | Host.M_fmul ->
+      Array.unsafe_set scratch d
+        (Array.unsafe_get scratch a *. Array.unsafe_get scratch b)
+    | Host.M_fdiv ->
+      Array.unsafe_set scratch d
+        (Array.unsafe_get scratch a /. Array.unsafe_get scratch b)
+    | Host.M_feq ->
+      set_bool scratch d
+        (Array.unsafe_get scratch a = Array.unsafe_get scratch b)
+    | Host.M_fne ->
+      set_bool scratch d
+        (Array.unsafe_get scratch a <> Array.unsafe_get scratch b)
+    | Host.M_flt ->
+      set_bool scratch d
+        (Array.unsafe_get scratch a < Array.unsafe_get scratch b)
+    | Host.M_fle ->
+      set_bool scratch d
+        (Array.unsafe_get scratch a <= Array.unsafe_get scratch b)
+    | Host.M_fgt ->
+      set_bool scratch d
+        (Array.unsafe_get scratch a > Array.unsafe_get scratch b)
+    | Host.M_fge ->
+      set_bool scratch d
+        (Array.unsafe_get scratch a >= Array.unsafe_get scratch b)
+    | Host.M_load | Host.M_load_f32 as op -> (
+      let a64 = get_bits scratch a in
       if Int64.compare a64 0L < 0 then
         raise (Value.Type_trap "negative address");
       let addr = Int64.to_int a64 in
@@ -572,13 +646,19 @@ and exec_chain frame (ch : Host.chain) : unit =
           | _ -> Int64.of_int (Bytes.get_uint8 mem.Memory.slab base)
         else Host.load_bits host addr nbytes
       in
-      let s = m.Host.mo_k in
-      Array.unsafe_set scratch m.Host.mo_dst
-        (Int64.float_of_bits (Int64.shift_right (Int64.shift_left bits s) s))
-    end
-    else if opc = 18 (* store *) then begin
-      let v = Int64.bits_of_float (Array.unsafe_get scratch m.Host.mo_a) in
-      let a64 = Int64.bits_of_float (Array.unsafe_get scratch m.Host.mo_b) in
+      match op with
+      | Host.M_load ->
+        let s = m.Host.mo_k in
+        set_bits scratch d (Int64.shift_right (Int64.shift_left bits s) s)
+      | _ ->
+        Array.unsafe_set scratch d (Int32.float_of_bits (Int64.to_int32 bits)))
+    | Host.M_store | Host.M_store_f32 as op -> (
+      let v =
+        match op with
+        | Host.M_store -> get_bits scratch a
+        | _ -> Int64.of_int32 (Int32.bits_of_float (Array.unsafe_get scratch a))
+      in
+      let a64 = get_bits scratch b in
       if Int64.compare a64 0L < 0 then
         raise (Value.Type_trap "negative address");
       let addr = Int64.to_int a64 in
@@ -596,42 +676,43 @@ and exec_chain frame (ch : Host.chain) : unit =
         | 2 ->
           Bytes.set_uint16_le mem.Memory.slab base (Int64.to_int v land 0xffff)
         | _ -> Bytes.set_uint8 mem.Memory.slab base (Int64.to_int v land 0xff)
-      else Host.store_bits host addr nbytes v
-    end
-    else if opc = 19 (* gep *) then begin
-      let base = Int64.bits_of_float (Array.unsafe_get scratch m.Host.mo_a) in
+      else Host.store_bits host addr nbytes v)
+    | Host.M_gep ->
+      let base = get_bits scratch a in
       if Int64.compare base 0L < 0 then
         raise (Value.Type_trap "negative address");
       let withc = Int64.add base (Int64.of_int m.Host.mo_k) in
       let sum =
-        if m.Host.mo_b >= 0 then
+        if b >= 0 then
           Int64.add withc
-            (Int64.mul
-               (Int64.bits_of_float (Array.unsafe_get scratch m.Host.mo_b))
-               (Int64.of_int m.Host.mo_n))
+            (Int64.mul (get_bits scratch b) (Int64.of_int m.Host.mo_n))
         else withc
       in
       (* Address arithmetic wraps at the native-int width, exactly as
          the interpreted walk's [int] accumulator did. *)
-      Array.unsafe_set scratch m.Host.mo_dst
-        (Int64.float_of_bits (Int64.of_int (Int64.to_int sum)))
-    end
-    else if opc = 20 (* move *) then
-      Array.unsafe_set scratch m.Host.mo_dst
-        (Array.unsafe_get scratch m.Host.mo_a)
-    else begin
-      (* canon (21) / zext-canon (22) *)
-      let x = Int64.bits_of_float (Array.unsafe_get scratch m.Host.mo_a) in
+      set_bits scratch d (Int64.of_int (Int64.to_int sum))
+    | Host.M_move -> Array.unsafe_set scratch d (Array.unsafe_get scratch a)
+    | Host.M_canon ->
+      let s = m.Host.mo_n in
+      set_bits scratch d
+        (Int64.shift_right (Int64.shift_left (get_bits scratch a) s) s)
+    | Host.M_zext ->
+      let z = m.Host.mo_n and s = m.Host.mo_k in
       let x =
-        if opc = 22 then
-          Int64.shift_right_logical (Int64.shift_left x m.Host.mo_n)
-            m.Host.mo_n
-        else x
+        Int64.shift_right_logical (Int64.shift_left (get_bits scratch a) z) z
       in
-      let s = if opc = 22 then m.Host.mo_k else m.Host.mo_n in
-      Array.unsafe_set scratch m.Host.mo_dst
-        (Int64.float_of_bits (Int64.shift_right (Int64.shift_left x s) s))
-    end
+      set_bits scratch d (Int64.shift_right (Int64.shift_left x s) s)
+    | Host.M_si_to_fp ->
+      Array.unsafe_set scratch d (Int64.to_float (get_bits scratch a))
+    | Host.M_fp_to_si ->
+      let s = m.Host.mo_n in
+      set_bits scratch d
+        (Int64.shift_right
+           (Int64.shift_left (Int64.of_float (Array.unsafe_get scratch a)) s)
+           s)
+    | Host.M_fp_trunc ->
+      Array.unsafe_set scratch d
+        (Int32.float_of_bits (Int32.bits_of_float (Array.unsafe_get scratch a)))
   done;
   let post = ch.Host.ch_post in
   let npost = Array.length post in
@@ -639,11 +720,14 @@ and exec_chain frame (ch : Host.chain) : unit =
   while !q < npost do
     let r = Array.unsafe_get post !q in
     let s = Array.unsafe_get post (!q + 1) in
-    let bits = Int64.bits_of_float (Array.unsafe_get scratch s) in
+    let kind = Array.unsafe_get post (!q + 2) in
     Array.unsafe_set regs r
-      (if Array.unsafe_get post (!q + 2) = 1 then
-         if Int64.equal bits 0L then Value.vfalse else Value.vtrue
-       else Value.VInt bits);
+      (if kind = Host.kind_float then Value.VFloat (Array.unsafe_get scratch s)
+       else
+         let bits = get_bits scratch s in
+         if kind = Host.kind_bool then
+           if Int64.equal bits 0L then Value.vfalse else Value.vtrue
+         else Value.VInt bits);
     q := !q + 3
   done
 

@@ -111,8 +111,20 @@ let compress (data : Bytes.t) : Bytes.t =
       let h0 = hash4 data !i in
       let cand = ref (if head_epoch.(h0) = epoch then head.(h0) else -1) in
       let chain = ref 0 in
-      while !cand >= 0 && !chain < max_chain do
-        if !i - !cand <= window_size then begin
+      (* Positions are inserted in increasing order, so a chain runs
+         strictly backwards: the first candidate beyond the window ends
+         the walk, and so does a match of the full [limit].  A candidate
+         whose byte at [best_len] differs cannot beat the best match.
+         None of the three changes which match wins. *)
+      while
+        !cand >= 0 && !chain < max_chain
+        && !i - !cand <= window_size
+        && !best_len < limit
+      do
+        if
+          Bytes.unsafe_get data (!cand + !best_len)
+          = Bytes.unsafe_get data (!i + !best_len)
+        then begin
           let l = match_length data !i !cand limit in
           if l > !best_len then begin
             best_len := l;

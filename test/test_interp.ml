@@ -214,6 +214,265 @@ let test_traps () =
   | exception No_mem.Memory.Bad_access (addr, _) ->
     Alcotest.(check bool) "fault in null guard" true (addr < 0x1_0000)
 
+(* Trap parity on hand-built, unvalidated one-block modules: whatever
+   the interpreter fuses, an ill-typed operand raises the same
+   [Type_trap], a zero divisor raises the same [Trap] after the same
+   charges, and a well-typed chain advances count and clock exactly
+   as instruction-at-a-time execution did. *)
+let one_block_host ?(arch = Arch.arm32) nregs instrs ret =
+  let main =
+    {
+      Ir.f_name = "main";
+      f_params = [];
+      f_ret = Ty.I64;
+      f_blocks =
+        [ { Ir.label = "entry"; instrs; term = Ir.Ret (Some (Ir.Reg ret)) } ];
+      f_nregs = nregs;
+    }
+  in
+  let m =
+    {
+      Ir.m_name = "one_block";
+      m_structs = [];
+      m_globals = [];
+      m_funcs = [ main ];
+      m_externs = [];
+      m_uva_globals = [];
+    }
+  in
+  let layout = Layout.env_of_arch arch ~structs:(structs_of m) in
+  Host.create ~arch ~role:Host.Mobile ~modul:m ~layout ()
+
+(* Instructions [main] runs as fused micro-ops, so each parity test
+   also checks that it exercises the chain it is about. *)
+let fused_ops host =
+  match Host.compiled host "main" with
+  | None -> 0
+  | Some c ->
+    Array.fold_left
+      (fun acc (b : Host.cblock) ->
+        Array.fold_left
+          (fun acc -> function
+            | Host.C_chain ch -> acc + Array.length ch.Host.ch_ops
+            | _ -> acc)
+          acc b.Host.cb_instrs)
+      0 c.Host.c_blocks
+
+let i64 v = Ir.Int (v, Ty.I64)
+let f64 v = Ir.Float (v, Ty.F64)
+
+let expect_type_trap msg ~fused host =
+  Alcotest.(check int) "fused micro-ops" fused (fused_ops host);
+  match Interp.run_main host with
+  | _ -> Alcotest.fail ("expected Type_trap " ^ msg)
+  | exception Value.Type_trap got -> Alcotest.(check string) "message" msg got
+
+let test_trap_float_into_int_chain () =
+  expect_type_trap "expected integer, got float" ~fused:3
+    (one_block_host 4
+       [
+         Ir.Assign (0, Ir.Cast (Ir.Bitcast, Ty.F64, f64 1.5, Ty.I64));
+         Ir.Assign (1, Ir.Bin (Ir.Add, Ir.Reg 0, i64 1L));
+         Ir.Assign (2, Ir.Bin (Ir.Add, Ir.Reg 1, i64 2L));
+         Ir.Assign (3, Ir.Bin (Ir.Add, Ir.Reg 2, i64 3L));
+       ]
+       3)
+
+let test_trap_int_into_float_chain () =
+  expect_type_trap "expected float, got integer" ~fused:4
+    (one_block_host 5
+       [
+         Ir.Assign (0, Ir.Cast (Ir.Bitcast, Ty.I64, i64 5L, Ty.F64));
+         Ir.Assign (1, Ir.Bin (Ir.Fadd, Ir.Reg 0, f64 1.0));
+         Ir.Assign (2, Ir.Bin (Ir.Fadd, Ir.Reg 1, f64 2.0));
+         Ir.Assign (3, Ir.Bin (Ir.Fadd, Ir.Reg 2, f64 3.0));
+         Ir.Assign (4, Ir.Cast (Ir.Fp_to_si, Ty.F64, Ir.Reg 3, Ty.I64));
+       ]
+       4)
+
+(* Count and clock recorded from instruction-at-a-time execution. *)
+let test_trap_div_zero_in_chain () =
+  let host =
+    one_block_host 3
+      [
+        Ir.Assign (0, Ir.Bin (Ir.Add, i64 3L, i64 4L));
+        Ir.Assign (1, Ir.Bin (Ir.Sub, Ir.Reg 0, i64 7L));
+        Ir.Assign (2, Ir.Bin (Ir.Sdiv, i64 100L, Ir.Reg 1));
+      ]
+      2
+  in
+  Alcotest.(check int) "fused micro-ops" 3 (fused_ops host);
+  (match Interp.run_main host with
+  | _ -> Alcotest.fail "expected division-by-zero trap"
+  | exception Interp.Trap msg ->
+    Alcotest.(check string) "message" "division by zero" msg);
+  Alcotest.(check int) "instructions at trap" 3 host.Host.instr_count;
+  Alcotest.(check string) "clock at trap" "0x1.b1b0e793f86fep-13"
+    (Printf.sprintf "%h" host.Host.clock.Host.now)
+
+let test_float_chain_result () =
+  let host =
+    one_block_host 4
+      [
+        Ir.Assign (0, Ir.Cast (Ir.Si_to_fp, Ty.I64, i64 4L, Ty.F64));
+        Ir.Assign (1, Ir.Bin (Ir.Fmul, Ir.Reg 0, f64 3.0));
+        Ir.Assign (2, Ir.Bin (Ir.Fsub, Ir.Reg 1, f64 2.0));
+        Ir.Assign (3, Ir.Cast (Ir.Fp_to_si, Ty.F64, Ir.Reg 2, Ty.I64));
+      ]
+      3
+  in
+  Alcotest.(check int) "fused micro-ops" 4 (fused_ops host);
+  Alcotest.(check int64) "4 * 3 - 2" 10L (Value.to_int (Interp.run_main host));
+  Alcotest.(check int) "instructions" 5 host.Host.instr_count;
+  Alcotest.(check string) "clock" "0x1.2d26a9b7f4ce7p-13"
+    (Printf.sprintf "%h" host.Host.clock.Host.now)
+
+(* Fused micro-ops against the boxed evaluators, on edge values.  Each
+   case is a two-op chain: the operation reads its first operand from a
+   register written by an (unfused) bitcast, and a dead add makes the
+   run long enough to fuse. *)
+let outcome f =
+  match f () with
+  | Value.VInt v -> Printf.sprintf "int %Ld" v
+  | Value.VFloat x -> Printf.sprintf "float %Lx" (Int64.bits_of_float x)
+  | exception Interp.Trap msg -> "trap " ^ msg
+
+let fused_outcome ~ty ~a rv =
+  let host =
+    one_block_host 3
+      [
+        Ir.Assign (1, Ir.Cast (Ir.Bitcast, ty, a, ty));
+        Ir.Assign (0, rv);
+        Ir.Assign (2, Ir.Bin (Ir.Add, i64 0L, i64 0L));
+      ]
+      0
+  in
+  Alcotest.(check int) "fused micro-ops" 2 (fused_ops host);
+  outcome (fun () -> Interp.run_main host)
+
+(* Store [a] at [ty] to a stack slot and load it back, fused. *)
+let fused_roundtrip ty a =
+  let host =
+    one_block_host 4
+      [
+        Ir.Assign (1, Ir.Cast (Ir.Bitcast, ty, a, ty));
+        Ir.Assign (3, Ir.Alloca (Ty.F64, 1));
+        Ir.Store (ty, Ir.Reg 1, Ir.Reg 3);
+        Ir.Assign (0, Ir.Load (ty, Ir.Reg 3));
+      ]
+      0
+  in
+  Alcotest.(check int) "fused micro-ops" 2 (fused_ops host);
+  outcome (fun () -> Interp.run_main host)
+
+let int_edges =
+  [ 0L; 1L; -1L; 7L; -7L; 255L; 0x8000_0000L; Int64.min_int; Int64.max_int ]
+
+let float_edges =
+  [ 0.0; -0.0; 1.0; -1.5; 0.1; 2.5; -2.5; 3.4028235e38; 1e39; 1e308;
+    -1e308; 5e-324; infinity; neg_infinity; nan ]
+
+let test_fused_matches_boxed () =
+  let check what expected ~ty ~a rv =
+    Alcotest.(check string) what (outcome expected) (fused_outcome ~ty ~a rv)
+  in
+  let pairs l = List.concat_map (fun x -> List.map (fun y -> (x, y)) l) l in
+  List.iter
+    (fun (x, y) ->
+      let what = Printf.sprintf "%Ld, %Ld" x y in
+      let vx = Value.VInt x and vy = Value.VInt y in
+      List.iter
+        (fun op ->
+          check what
+            (fun () -> Interp.eval_binop op vx vy)
+            ~ty:Ty.I64 ~a:(i64 x)
+            (Ir.Bin (op, Ir.Reg 1, i64 y)))
+        Ir.[ Add; Sub; Mul; Sdiv; Udiv; Srem; Urem; And; Or; Xor; Shl;
+             Lshr; Ashr ];
+      List.iter
+        (fun op ->
+          check what
+            (fun () -> Interp.eval_cmp op vx vy)
+            ~ty:Ty.I64 ~a:(i64 x)
+            (Ir.Cmp (op, Ir.Reg 1, i64 y)))
+        Ir.[ Slt; Sle; Sgt; Sge; Ult; Ule; Ugt; Uge ])
+    (pairs int_edges);
+  List.iter
+    (fun (x, y) ->
+      let what = Printf.sprintf "%h, %h" x y in
+      let vx = Value.VFloat x and vy = Value.VFloat y in
+      List.iter
+        (fun op ->
+          check what
+            (fun () -> Interp.eval_binop op vx vy)
+            ~ty:Ty.F64 ~a:(f64 x)
+            (Ir.Bin (op, Ir.Reg 1, f64 y)))
+        Ir.[ Fadd; Fsub; Fmul; Fdiv ];
+      List.iter
+        (fun op ->
+          check what
+            (fun () -> Interp.eval_cmp op vx vy)
+            ~ty:Ty.F64 ~a:(f64 x)
+            (Ir.Cmp (op, Ir.Reg 1, f64 y)))
+        Ir.[ Feq; Fne; Flt; Fle; Fgt; Fge ])
+    (pairs float_edges);
+  List.iter
+    (fun x ->
+      check (Printf.sprintf "si_to_fp %Ld" x)
+        (fun () -> Interp.eval_cast Ir.Si_to_fp Ty.I64 (Value.VInt x) Ty.F64)
+        ~ty:Ty.I64 ~a:(i64 x)
+        (Ir.Cast (Ir.Si_to_fp, Ty.I64, Ir.Reg 1, Ty.F64)))
+    int_edges;
+  List.iter
+    (fun x ->
+      let what = Printf.sprintf "%h" x in
+      List.iter
+        (fun (op, dst) ->
+          check what
+            (fun () -> Interp.eval_cast op Ty.F64 (Value.VFloat x) dst)
+            ~ty:Ty.F64 ~a:(f64 x)
+            (Ir.Cast (op, Ty.F64, Ir.Reg 1, dst)))
+        Ir.
+          [ (Fp_to_si, Ty.I64); (Fp_to_si, Ty.I32); (Fp_to_si, Ty.I8);
+            (Fp_trunc, Ty.F32) ];
+      Alcotest.(check string) ("f64 roundtrip " ^ what)
+        (outcome (fun () -> Value.VFloat x))
+        (fused_roundtrip Ty.F64 (f64 x));
+      Alcotest.(check string) ("f32 roundtrip " ^ what)
+        (outcome (fun () ->
+             Value.VFloat (Int32.float_of_bits (Int32.bits_of_float x))))
+        (fused_roundtrip Ty.F32 (f64 x)))
+    float_edges
+
+(* Golden equivalence: every registry program run locally on every
+   architecture (arm32_be keeps its memory ops unfused), digested.
+   Any change to the interpreter's fast paths must leave results,
+   consoles, instruction counts, clocks and energy bit-identical. *)
+let golden_interp_digest = "c69529ca5714a8df7cb497f5b85313d3"
+
+let test_golden_local_runs () =
+  let module Registry = No_workloads.Registry in
+  let module Local_run = No_runtime.Local_run in
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun (e : Registry.entry) ->
+      List.iter
+        (fun (arch : Arch.t) ->
+          let r =
+            Local_run.run ~arch ~script:e.Registry.e_profile_script
+              ~files:e.Registry.e_files (e.Registry.e_build ())
+          in
+          Buffer.add_string buf
+            (Printf.sprintf "%s %s %h %h %d %s %s\n" e.Registry.e_name
+               arch.Arch.name r.Local_run.lr_total_s r.Local_run.lr_energy_mj
+               r.Local_run.lr_instrs
+               (Fmt.str "%a" Value.pp r.Local_run.lr_result)
+               (Digest.to_hex (Digest.string r.Local_run.lr_console))))
+        Arch.all)
+    (Registry.spec @ Registry.synthetic);
+  Alcotest.(check string) "local-run digest" golden_interp_digest
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let tests =
   [
     Alcotest.test_case "loop sum" `Quick test_loop_sum;
@@ -224,4 +483,14 @@ let tests =
     Alcotest.test_case "fn ptr table" `Quick test_fn_ptr_table;
     Alcotest.test_case "clock and ratio" `Quick test_clock_and_ratio;
     Alcotest.test_case "traps" `Quick test_traps;
+    Alcotest.test_case "trap: float into int chain" `Quick
+      test_trap_float_into_int_chain;
+    Alcotest.test_case "trap: int into float chain" `Quick
+      test_trap_int_into_float_chain;
+    Alcotest.test_case "trap: division by zero in chain" `Quick
+      test_trap_div_zero_in_chain;
+    Alcotest.test_case "float chain result" `Quick test_float_chain_result;
+    Alcotest.test_case "fused ops match boxed on edge values" `Quick
+      test_fused_matches_boxed;
+    Alcotest.test_case "golden local-run digest" `Slow test_golden_local_runs;
   ]

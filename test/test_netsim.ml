@@ -150,6 +150,41 @@ let test_channel_compression_fallback () =
   Alcotest.(check bool) "no expansion on wire" true
     (stats.Channel.wire_bytes <= stats.Channel.raw_bytes)
 
+(* Golden output: the compressor's exact byte stream over a fixed
+   corpus, digested.  A search shortcut must prune only candidates
+   that cannot win, leaving every emitted token unchanged. *)
+let golden_compress_digest = "7d46080a63df760ef79f8bdfa5624d36"
+
+let compress_corpus () =
+  let seed = ref 12345 in
+  let lcg_byte _ =
+    seed := ((!seed * 1103515245) + 12345) land 0x7fffffff;
+    Char.chr ((!seed lsr 16) land 0xff)
+  in
+  let f64_ramp n =
+    let b = Bytes.make n '\000' in
+    for k = 0 to (n / 8) - 1 do
+      Bytes.set_int64_le b (8 * k)
+        (Int64.bits_of_float (1.0 +. (float k *. 1e-6)))
+    done;
+    b
+  in
+  List.concat_map
+    (fun n ->
+      let zeros = Bytes.make n '\000' in
+      let ramp = Bytes.init n (fun i -> Char.chr (i land 0xff)) in
+      let noise = Bytes.init n lcg_byte in
+      [ zeros; ramp; noise; f64_ramp n ])
+    [ 0; 1; 4; 63; 4096; 65553; 300_000 ]
+
+let test_golden_compress () =
+  let buf = Buffer.create (1 lsl 20) in
+  List.iter
+    (fun data -> Buffer.add_bytes buf (Compress.compress data))
+    (compress_corpus ());
+  Alcotest.(check string) "compressor output digest" golden_compress_digest
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let tests =
   [
     Alcotest.test_case "link math" `Quick test_link_math;
@@ -166,4 +201,5 @@ let tests =
     Alcotest.test_case "empty flush is a no-op" `Quick test_empty_flush_noop;
     Alcotest.test_case "wire bytes never exceed raw" `Quick
       test_wire_never_exceeds_raw_event;
+    Alcotest.test_case "golden compressor digest" `Quick test_golden_compress;
   ]
