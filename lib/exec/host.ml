@@ -47,8 +47,8 @@ let default_hooks () = {
    the old per-instruction [Cost.seconds_of] call produced, so the
    simulated clock advances bit-identically), and constant operands —
    literals, globals, function addresses — become pre-boxed
-   {!Value.t}s shared across executions, so the inner loop allocates
-   only for values it actually computes.  Anything that cannot be
+   {!Value.t}s for the boxed path and constant slots of the register
+   file for fused chains (below).  Anything that cannot be
    resolved statically (unknown global, non-struct field access, …)
    falls back to a [C_slow*]/[Ct_slow] node interpreted exactly like
    the original IR: same traps, same messages, same charges. *)
@@ -72,52 +72,54 @@ type crv =
   | C_fn_map of Ir.fn_map_dir * cop
   | C_slow_rv of Ir.rvalue
 
-(* {2 Fused straight-line chains}
+(* {2 The register file and fused chains}
 
-   A run of arithmetic, compare, memory and cast instructions whose
-   intermediates never escape the run is compiled to a [chain]: a
-   micro-op program over a per-frame [float array] scratch — the one
-   unboxed mutable store the non-flambda compiler gives us.  Each slot
-   has exactly one kind.  An int slot holds an int64 bit pattern via
-   [Int64.float_of_bits] (bits_of_float/float_of_bits of values
-   consumed by int64 primitives stay unboxed); a float slot holds the
-   float itself.  So a fused add, fmul, division, load or store
-   allocates nothing: only chain inputs (register preloads) and
-   live-out results touch boxed {!Value.t}s.
+   A frame keeps its registers unboxed, in three parallel arrays
+   indexed by slot: int cells (int64 bit patterns, 8 bytes per slot in
+   a [Bytes.t]), float cells (a flat [float array]) and one kind byte
+   per slot saying which cell is live.  Slots [\[0, nregs)] are the
+   registers; slots [\[nregs, nslots)] hold the function's constants,
+   deduplicated by (kind, bits) at compile time.  [compiled] carries
+   the three arrays as a template that every call copies, so the
+   shared table stays immutable.  A register never written reads as
+   integer 0, as the boxed register array's [Value.zero] did.
 
-   Observable equivalence: each micro-op performs the same fuel check,
+   A run of one or more arithmetic, compare, select, memory and cast
+   instructions whose operands are registers or constants compiles to
+   a [chain]: micro-ops that read and write slots directly, so they
+   allocate nothing.  Each micro-op performs the same fuel check,
    instruction count bump and clock charge (same floats, same order)
-   as the instruction it replaces, and divisions test for zero after
-   that charge, raising the same trap.  Loads and stores go through
-   the same memory entry points (same faults, same dirty marks, same
-   touch callbacks).  A preload reads its register at the slot's kind
-   through [Value.to_int]/[Value.to_float], so an ill-typed register
-   raises the [Type_trap] message the unfused instruction would have
-   raised (before the chain's first charge, where the unfused run
-   charged the reading instruction first); an operand whose slot
-   already has the other kind ends the chain and runs boxed.
-   [Eq]/[Ne] (mixed-kind tolerant), [Select], [Bitcast] and [Fp_ext]
-   (type-agnostic identities), calls, and every memory op on a
-   big-endian host are never fused.  Dead intermediates simply stop
-   being written to the register file, which nothing can observe —
-   hooks see labels, not registers, and an abandoned frame's registers
-   die with it. *)
+   as the instruction it replaces; then each operand read checks its
+   slot's kind byte and raises the [Type_trap] message the boxed
+   evaluator raised, in the order the boxed evaluator converted its
+   operands.  Divisions test for zero after that, raising the same
+   trap.  Loads and stores go through the same memory entry points
+   (same faults, same dirty marks, same touch callbacks).  [Eq]/[Ne]
+   compare kind bytes first, as [Value.equal] does; [Select] copies
+   the chosen slot with its kind.
 
-(* Slot kinds.  A bool is an int slot whose live-out boxes to the
-   shared [Value.vtrue]/[Value.vfalse]. *)
-let kind_int = 0
-let kind_bool = 1
-let kind_float = 2
+   Everything else runs boxed: [Bitcast] and [Fp_ext] (type-agnostic
+   identities), calls, [bswap], [fn_map], [alloca], multi-index GEPs,
+   every memory op on a big-endian host, and instructions with a slow
+   operand.  The boxed path boxes a register when it reads it and
+   unboxes it when it writes it. *)
+
+let kind_int = '\000'
+let kind_float = '\001'
 
 type mop =
   | M_add | M_sub | M_mul | M_and | M_or | M_xor | M_shl | M_lshr | M_ashr
   | M_sdiv | M_udiv | M_srem | M_urem      (* trap on a zero divisor *)
   | M_slt | M_sle | M_sgt | M_sge | M_ult | M_ule | M_ugt | M_uge
+  | M_eq | M_ne                            (* [Value.equal] over kinds *)
   | M_fadd | M_fsub | M_fmul | M_fdiv
   | M_feq | M_fne | M_flt | M_fle | M_fgt | M_fge
-  | M_load          (* mo_n bytes, then sign-shift mo_k; f64 bits as-is *)
+  | M_select        (* cond mo_a, then mo_b, else mo_n *)
+  | M_load          (* mo_n bytes, then sign-shift mo_k *)
+  | M_load_f64
   | M_load_f32
-  | M_store         (* value mo_a, addr mo_b, mo_n bytes; f64 bits as-is *)
+  | M_store         (* value mo_a, addr mo_b, mo_n bytes *)
+  | M_store_f64
   | M_store_f32
   | M_gep           (* base mo_a + mo_k + idx mo_b * mo_n *)
   | M_move
@@ -129,7 +131,7 @@ type mop =
 
 type micro = {
   mo_op : mop;
-  mo_dst : int;                 (* scratch slot; -1 for stores *)
+  mo_dst : int;                 (* slot; -1 for stores *)
   mo_a : int;                   (* first operand slot *)
   mo_b : int;                   (* second operand slot; -1 if absent *)
   mo_n : int;                   (* width in bytes / gep scale / shift *)
@@ -137,12 +139,8 @@ type micro = {
 }
 
 type chain = {
-  ch_pre : int array;            (* slot, reg, kind triples: boxed reads in *)
-  ch_imm_slots : int array;      (* constant slots ... *)
-  ch_imm_vals : float array;     (* ... and their slot contents *)
   ch_ops : micro array;
   ch_costs : float array;        (* seconds per micro-op, this arch *)
-  ch_post : int array;           (* reg, slot, kind triples out *)
 }
 
 type cinstr =
@@ -174,7 +172,10 @@ type compiled = {
   c_blocks : cblock array;
   c_index : (string, int) Hashtbl.t;       (* label -> block index *)
   c_entry : int;
-  c_scratch : int;               (* chain scratch slots a frame needs *)
+  c_nregs : int;                 (* register slots; constants follow *)
+  c_ints : Bytes.t;              (* slot templates, copied per call *)
+  c_floats : float array;
+  c_kinds : Bytes.t;
 }
 
 type t = {
@@ -202,87 +203,44 @@ type t = {
                                     bit-for-bit the uncontended host *)
 }
 
-(* How many times each register is read, across the whole function
-   (instruction operands, gep paths, call arguments, terminators).
-   Fusion uses this to decide whether a chain-written register is
-   dead — consumed entirely inside the chain — or must be boxed back
-   into the register file. *)
-let reg_read_counts (f : Ir.func) : int array =
-  let counts = Array.make (max f.Ir.f_nregs 1) 0 in
-  let op = function
-    | Ir.Reg r -> if r >= 0 && r < Array.length counts then
-        counts.(r) <- counts.(r) + 1
-    | Ir.Int _ | Ir.Float _ | Ir.Null _ | Ir.Global _ | Ir.Fn_addr _ -> ()
-  in
-  let rv = function
-    | Ir.Bin (_, a, b) | Ir.Cmp (_, a, b) -> op a; op b
-    | Ir.Cast (_, _, a, _) | Ir.Load (_, a) | Ir.Bswap (_, a)
-    | Ir.Fn_map (_, a) -> op a
-    | Ir.Select (c, a, b) -> op c; op a; op b
-    | Ir.Alloca _ -> ()
-    | Ir.Gep (_, base, path) ->
-      op base;
-      List.iter (function Ir.Index o -> op o | Ir.Field _ -> ()) path
-    | Ir.Call (_, args) -> List.iter op args
-    | Ir.Call_ind (_, fp, args) -> op fp; List.iter op args
-  in
-  List.iter
-    (fun (b : Ir.block) ->
-      List.iter
-        (function
-          | Ir.Assign (_, r) -> rv r
-          | Ir.Effect r -> rv r
-          | Ir.Store (_, v, a) -> op v; op a
-          | Ir.Asm _ -> ())
-        b.Ir.instrs;
-      match b.Ir.term with
-      | Ir.Cbr (c, _, _) -> op c
-      | Ir.Switch (v, _, _) -> op v
-      | Ir.Ret (Some o) -> op o
-      | Ir.Br _ | Ir.Ret None | Ir.Unreachable -> ())
-    f.Ir.f_blocks;
-  counts
-
-(* Micro-op and operand kind of a binop; every binop fuses. *)
 let binop_code (op : Ir.binop) =
   match op with
-  | Ir.Add -> (M_add, kind_int)
-  | Ir.Sub -> (M_sub, kind_int)
-  | Ir.Mul -> (M_mul, kind_int)
-  | Ir.Sdiv -> (M_sdiv, kind_int)
-  | Ir.Udiv -> (M_udiv, kind_int)
-  | Ir.Srem -> (M_srem, kind_int)
-  | Ir.Urem -> (M_urem, kind_int)
-  | Ir.And -> (M_and, kind_int)
-  | Ir.Or -> (M_or, kind_int)
-  | Ir.Xor -> (M_xor, kind_int)
-  | Ir.Shl -> (M_shl, kind_int)
-  | Ir.Lshr -> (M_lshr, kind_int)
-  | Ir.Ashr -> (M_ashr, kind_int)
-  | Ir.Fadd -> (M_fadd, kind_float)
-  | Ir.Fsub -> (M_fsub, kind_float)
-  | Ir.Fmul -> (M_fmul, kind_float)
-  | Ir.Fdiv -> (M_fdiv, kind_float)
+  | Ir.Add -> M_add
+  | Ir.Sub -> M_sub
+  | Ir.Mul -> M_mul
+  | Ir.Sdiv -> M_sdiv
+  | Ir.Udiv -> M_udiv
+  | Ir.Srem -> M_srem
+  | Ir.Urem -> M_urem
+  | Ir.And -> M_and
+  | Ir.Or -> M_or
+  | Ir.Xor -> M_xor
+  | Ir.Shl -> M_shl
+  | Ir.Lshr -> M_lshr
+  | Ir.Ashr -> M_ashr
+  | Ir.Fadd -> M_fadd
+  | Ir.Fsub -> M_fsub
+  | Ir.Fmul -> M_fmul
+  | Ir.Fdiv -> M_fdiv
 
 let cmp_code (op : Ir.cmpop) =
   match op with
-  | Ir.Slt -> Some (M_slt, kind_int)
-  | Ir.Sle -> Some (M_sle, kind_int)
-  | Ir.Sgt -> Some (M_sgt, kind_int)
-  | Ir.Sge -> Some (M_sge, kind_int)
-  | Ir.Ult -> Some (M_ult, kind_int)
-  | Ir.Ule -> Some (M_ule, kind_int)
-  | Ir.Ugt -> Some (M_ugt, kind_int)
-  | Ir.Uge -> Some (M_uge, kind_int)
-  | Ir.Feq -> Some (M_feq, kind_float)
-  | Ir.Fne -> Some (M_fne, kind_float)
-  | Ir.Flt -> Some (M_flt, kind_float)
-  | Ir.Fle -> Some (M_fle, kind_float)
-  | Ir.Fgt -> Some (M_fgt, kind_float)
-  | Ir.Fge -> Some (M_fge, kind_float)
-  (* Eq/Ne go through [Value.equal], which tolerates mixed int/float
-     operands; a kinded slot would not. *)
-  | Ir.Eq | Ir.Ne -> None
+  | Ir.Eq -> M_eq
+  | Ir.Ne -> M_ne
+  | Ir.Slt -> M_slt
+  | Ir.Sle -> M_sle
+  | Ir.Sgt -> M_sgt
+  | Ir.Sge -> M_sge
+  | Ir.Ult -> M_ult
+  | Ir.Ule -> M_ule
+  | Ir.Ugt -> M_ugt
+  | Ir.Uge -> M_uge
+  | Ir.Feq -> M_feq
+  | Ir.Fne -> M_fne
+  | Ir.Flt -> M_flt
+  | Ir.Fle -> M_fle
+  | Ir.Fgt -> M_fgt
+  | Ir.Fge -> M_fge
 
 let int_bits_of_ty (ty : Ty.t) =
   match ty with
@@ -293,249 +251,124 @@ let int_bits_of_ty (ty : Ty.t) =
   | Ty.F32 | Ty.F64 | Ty.Ptr _ | Ty.Fn_ptr _ | Ty.Struct _ | Ty.Array _
   | Ty.Void -> None
 
-(* Width, post-load sign shift and slot kind of a fusible memory
-   access; ptr-width accesses are unsigned (shift 0), matching
-   [load_scalar]/[store_scalar].  An f64 slot holds exactly the bits
-   [Int64.float_of_bits] makes of the word, so f64 accesses share the
-   integer micro-ops; only f32 needs its own conversion.  Fused memory
-   ops read the little-endian slab word directly, so big-endian hosts
-   keep their loads and stores on the interpreted path. *)
+(* Load op, store op, width and post-load sign shift of a fusible
+   memory access; ptr-width accesses are unsigned (shift 0), matching
+   [load_scalar]/[store_scalar].  Fused memory ops read the
+   little-endian slab word directly, so big-endian hosts keep their
+   loads and stores on the boxed path. *)
 let mem_params arch (ty : Ty.t) =
   if arch.Arch.endianness <> Arch.Little then None
   else
     match ty with
-    | Ty.F64 -> Some (M_load, M_store, 8, 0, kind_float)
-    | Ty.F32 -> Some (M_load_f32, M_store_f32, 4, 0, kind_float)
-    | Ty.Ptr _ | Ty.Fn_ptr _ ->
-      Some (M_load, M_store, Arch.ptr_bytes arch, 0, kind_int)
+    | Ty.F64 -> Some (M_load_f64, M_store_f64, 8, 0)
+    | Ty.F32 -> Some (M_load_f32, M_store_f32, 4, 0)
+    | Ty.Ptr _ | Ty.Fn_ptr _ -> Some (M_load, M_store, Arch.ptr_bytes arch, 0)
     | _ -> (
       match int_bits_of_ty ty with
-      | Some bits -> Some (M_load, M_store, bits / 8, 64 - bits, kind_int)
+      | Some bits -> Some (M_load, M_store, bits / 8, 64 - bits)
       | None -> None)
 
-(* Micro-op, mo_n, mo_k, operand kind and result kind of a fusible
-   cast. *)
+(* Micro-op, mo_n and mo_k of a fusible cast. *)
 let cast_params (op : Ir.castop) (src : Ty.t) (dst : Ty.t) =
-  let canon_to_dst code src_kind =
+  let canon_to_dst code =
     match int_bits_of_ty dst with
-    | Some db -> Some (code, 64 - db, 0, src_kind, kind_int)
+    | Some db -> Some (code, 64 - db, 0)
     | None -> None
   in
   match op with
   | Ir.Zext -> (
     match (int_bits_of_ty src, int_bits_of_ty dst) with
-    | Some sb, Some db ->
-      Some (M_zext, 64 - sb, 64 - db, kind_int, kind_int)
+    | Some sb, Some db -> Some (M_zext, 64 - sb, 64 - db)
     | _ -> None)
-  | Ir.Sext | Ir.Trunc | Ir.Ptr_to_int -> canon_to_dst M_canon kind_int
-  | Ir.Fp_to_si -> canon_to_dst M_fp_to_si kind_float
-  | Ir.Int_to_ptr -> Some (M_move, 0, 0, kind_int, kind_int)
-  | Ir.Si_to_fp -> Some (M_si_to_fp, 0, 0, kind_int, kind_float)
-  | Ir.Fp_trunc -> Some (M_fp_trunc, 0, 0, kind_float, kind_float)
+  | Ir.Sext | Ir.Trunc | Ir.Ptr_to_int -> canon_to_dst M_canon
+  | Ir.Fp_to_si -> canon_to_dst M_fp_to_si
+  | Ir.Int_to_ptr -> Some (M_move, 0, 0)
+  | Ir.Si_to_fp -> Some (M_si_to_fp, 0, 0)
+  | Ir.Fp_trunc -> Some (M_fp_trunc, 0, 0)
   | Ir.Bitcast | Ir.Fp_ext -> None     (* identities, even on mistyped values *)
 
-(* Rewrite a compiled block, replacing maximal runs of fusible
-   instructions with [C_chain] nodes.  Returns the block and the
-   number of scratch slots its chains need. *)
-let fuse_block ~arch ~(reads : int array) (cb : cblock) : cblock * int =
+(* Rewrite a compiled block, replacing each maximal run of fusible
+   instructions with a [C_chain].  [slot] gives an operand's slot, or
+   None when the operand can only be evaluated boxed. *)
+let fuse_block ~arch ~(slot : cop -> int option) (cb : cblock) : cblock =
+  let ( let* ) = Option.bind in
   let out = ref [] in                      (* (cinstr, cost), reversed *)
-  let max_slots = ref 0 in
-  (* Per-chain state. *)
-  let next_slot = ref 0 in
-  let slot_kind : (int, int) Hashtbl.t = Hashtbl.create 8 in
-  let slot_of_reg : (int, int) Hashtbl.t = Hashtbl.create 8 in
-  let imm_slot : (int * int64, int) Hashtbl.t = Hashtbl.create 8 in
-  let pre = ref [] and imms = ref [] and ops = ref [] in
-  let written : (int, int) Hashtbl.t = Hashtbl.create 8 in  (* reg -> kind *)
-  let chain_reads : (int, int) Hashtbl.t = Hashtbl.create 8 in
-  let read_before_write : (int, unit) Hashtbl.t = Hashtbl.create 8 in
-  let pending = ref [] in                  (* originals, for short chains *)
-  let reset () =
-    next_slot := 0;
-    Hashtbl.reset slot_kind;
-    Hashtbl.reset slot_of_reg;
-    Hashtbl.reset imm_slot;
-    pre := []; imms := []; ops := [];
-    Hashtbl.reset written;
-    Hashtbl.reset chain_reads;
-    Hashtbl.reset read_before_write;
-    pending := []
-  in
-  let fits kind = function
-    | C_reg r -> (
-      match Hashtbl.find_opt slot_of_reg r with
-      | Some s -> Hashtbl.find slot_kind s = kind
-      | None -> true)
-    | C_val (Value.VInt _) -> kind = kind_int
-    | C_val (Value.VFloat _) -> kind = kind_float
-    | C_slow_op _ -> false
-  in
-  (* Every (kind, operand) of one instruction fits, and a register the
-     chain has not bound yet is not read at two kinds. *)
-  let fusible operands =
-    List.for_all
-      (fun (k, c) ->
-        fits k c
-        && List.for_all
-             (fun (k', c') ->
-               match (c, c') with
-               | C_reg r, C_reg r' -> k = k' || r <> r'
-               | _ -> true)
-             operands)
-      operands
-  in
-  let new_slot kind =
-    let s = !next_slot in
-    incr next_slot;
-    Hashtbl.replace slot_kind s
-      (if kind = kind_float then kind_float else kind_int);
-    s
-  in
-  let resolve kind (c : cop) : int =
-    match c with
-    | C_reg r -> (
-      Hashtbl.replace chain_reads r
-        (1 + Option.value ~default:0 (Hashtbl.find_opt chain_reads r));
-      match Hashtbl.find_opt slot_of_reg r with
-      | Some s -> s
-      | None ->
-        Hashtbl.replace read_before_write r ();
-        let s = new_slot kind in
-        Hashtbl.replace slot_of_reg r s;
-        pre := (s, r, kind) :: !pre;
-        s)
-    | C_val v -> (
-      let key, contents =
-        match v with
-        | Value.VInt bits -> ((kind_int, bits), Int64.float_of_bits bits)
-        | Value.VFloat f -> ((kind_float, Int64.bits_of_float f), f)
-      in
-      match Hashtbl.find_opt imm_slot key with
-      | Some s -> s
-      | None ->
-        let s = new_slot kind in
-        Hashtbl.replace imm_slot key s;
-        imms := (s, contents) :: !imms;
-        s)
-    | C_slow_op _ -> assert false
-  in
-  let bind_write r kind =
-    let s = new_slot kind in
-    Hashtbl.replace slot_of_reg r s;
-    Hashtbl.replace written r kind;
-    s
-  in
-  let add instr cost mo_op mo_dst mo_a mo_b mo_n mo_k =
-    ops := ({ mo_op; mo_dst; mo_a; mo_b; mo_n; mo_k }, cost) :: !ops;
-    pending := (instr, cost) :: !pending;
-    true
-  in
+  let run = ref [] in                      (* (micro, cost), reversed *)
   let flush () =
-    (if List.length !ops >= 2 then begin
-       let post =
-         Hashtbl.fold
-           (fun r kind acc ->
-             let total =
-               if r < Array.length reads then reads.(r) else max_int
-             in
-             let inside =
-               Option.value ~default:0 (Hashtbl.find_opt chain_reads r)
-             in
-             if total - inside > 0 || Hashtbl.mem read_before_write r then
-               (r, Hashtbl.find slot_of_reg r, kind) :: acc
-             else acc)
-           written []
-       in
-       let ops_l = List.rev !ops in
-       let flat3 l =
-         Array.of_list (List.concat_map (fun (a, b, c) -> [ a; b; c ]) l)
-       in
-       let chain =
-         {
-           ch_pre = flat3 (List.rev !pre);
-           ch_imm_slots = Array.of_list (List.rev_map fst !imms);
-           ch_imm_vals = Array.of_list (List.rev_map snd !imms);
-           ch_ops = Array.of_list (List.map fst ops_l);
-           ch_costs = Array.of_list (List.map snd ops_l);
-           ch_post = flat3 post;
-         }
-       in
-       max_slots := max !max_slots !next_slot;
-       out := (C_chain chain, 0.0) :: !out
-     end
-     else List.iter (fun ic -> out := ic :: !out) (List.rev !pending));
-    reset ()
+    if !run <> [] then begin
+      let ops = List.rev !run in
+      let chain =
+        {
+          ch_ops = Array.of_list (List.map fst ops);
+          ch_costs = Array.of_list (List.map snd ops);
+        }
+      in
+      out := (C_chain chain, 0.0) :: !out;
+      run := []
+    end
   in
-  let n = Array.length cb.cb_instrs in
-  for i = 0 to n - 1 do
-    let instr = cb.cb_instrs.(i) and cost = cb.cb_costs.(i) in
-    let fused =
-      match instr with
-      | C_assign (r, C_bin (op, a, b)) ->
-        let code, k = binop_code op in
-        if fusible [ (k, a); (k, b) ] then begin
-          let sa = resolve k a in
-          let sb = resolve k b in
-          add instr cost code (bind_write r k) sa sb 0 0
-        end
-        else false
-      | C_assign (r, C_cmp (op, a, b)) -> (
-        match cmp_code op with
-        | Some (code, k) when fusible [ (k, a); (k, b) ] ->
-          let sa = resolve k a in
-          let sb = resolve k b in
-          add instr cost code (bind_write r kind_bool) sa sb 0 0
-        | _ -> false)
-      | C_assign (r, C_load (ty, a)) -> (
-        match mem_params arch ty with
-        | Some (code, _, nbytes, shift, k) when fusible [ (kind_int, a) ] ->
-          let sa = resolve kind_int a in
-          add instr cost code (bind_write r k) sa (-1) nbytes shift
-        | _ -> false)
-      | C_store (ty, v, a) -> (
-        match mem_params arch ty with
-        | Some (_, code, nbytes, _, k) when fusible [ (kind_int, a); (k, v) ] ->
-          (* Address first: the unfused store converts it first. *)
-          let sa = resolve kind_int a in
-          let sv = resolve k v in
-          add instr cost code (-1) sv sa nbytes 0
-        | _ -> false)
-      | C_assign (r, C_gep (base, const, dyn))
-        when Array.length dyn <= 1
-             && fusible
-                  ((kind_int, base)
-                  :: List.map (fun (c, _) -> (kind_int, c)) (Array.to_list dyn))
-        ->
-        let sb = resolve kind_int base in
-        let sidx, scale =
-          if Array.length dyn = 0 then (-1, 0)
+  let micro ?(b = -1) ?(n = 0) ?(k = 0) mo_op mo_dst mo_a =
+    Some { mo_op; mo_dst; mo_a; mo_b = b; mo_n = n; mo_k = k }
+  in
+  Array.iteri
+    (fun i instr ->
+      let cost = cb.cb_costs.(i) in
+      let fused =
+        match instr with
+        | C_assign (r, C_bin (op, a, b)) ->
+          let* d = slot (C_reg r) in
+          let* sa = slot a in
+          let* sb = slot b in
+          micro (binop_code op) d sa ~b:sb
+        | C_assign (r, C_cmp (op, a, b)) ->
+          let* d = slot (C_reg r) in
+          let* sa = slot a in
+          let* sb = slot b in
+          micro (cmp_code op) d sa ~b:sb
+        | C_assign (r, C_select (c, a, b)) ->
+          let* d = slot (C_reg r) in
+          let* sc = slot c in
+          let* sa = slot a in
+          let* sb = slot b in
+          micro M_select d sc ~b:sa ~n:sb
+        | C_assign (r, C_load (ty, a)) ->
+          let* code, _, nbytes, shift = mem_params arch ty in
+          let* d = slot (C_reg r) in
+          let* sa = slot a in
+          micro code d sa ~n:nbytes ~k:shift
+        | C_store (ty, v, a) ->
+          let* _, code, nbytes, _ = mem_params arch ty in
+          let* sa = slot a in
+          let* sv = slot v in
+          micro code (-1) sv ~b:sa ~n:nbytes
+        | C_assign (r, C_gep (base, const, dyn)) when Array.length dyn <= 1 ->
+          let* d = slot (C_reg r) in
+          let* sb = slot base in
+          if Array.length dyn = 0 then micro M_gep d sb ~k:const
           else
             let c, size = dyn.(0) in
-            (resolve kind_int c, size)
-        in
-        add instr cost M_gep (bind_write r kind_int) sb sidx scale const
-      | C_assign (r, C_cast (op, src, a, dst)) -> (
-        match cast_params op src dst with
-        | Some (code, n, k, src_kind, dst_kind)
-          when fusible [ (src_kind, a) ] ->
-          let sa = resolve src_kind a in
-          add instr cost code (bind_write r dst_kind) sa (-1) n k
-        | _ -> false)
-      | C_assign _ | C_effect _ | C_asm | C_chain _ -> false
-    in
-    if not fused then begin
-      flush ();
-      out := (instr, cost) :: !out
-    end
-  done;
+            let* si = slot c in
+            micro M_gep d sb ~b:si ~n:size ~k:const
+        | C_assign (r, C_cast (op, src, a, dst)) ->
+          let* code, n, k = cast_params op src dst in
+          let* d = slot (C_reg r) in
+          let* sa = slot a in
+          micro code d sa ~n ~k
+        | C_assign _ | C_effect _ | C_asm | C_chain _ -> None
+      in
+      match fused with
+      | Some m -> run := (m, cost) :: !run
+      | None ->
+        flush ();
+        out := (instr, cost) :: !out)
+    cb.cb_instrs;
   flush ();
   let l = List.rev !out in
-  ( {
-      cb with
-      cb_instrs = Array.of_list (List.map fst l);
-      cb_costs = Array.of_list (List.map snd l);
-    },
-    !max_slots )
+  {
+    cb with
+    cb_instrs = Array.of_list (List.map fst l);
+    cb_costs = Array.of_list (List.map snd l);
+  }
 
 let compile_func ~(arch : Arch.t) ~(layout : Layout.env)
     ~(globals : (string, int) Hashtbl.t) ~(fn_table : Fn_table.t)
@@ -671,22 +504,50 @@ let compile_func ~(arch : Arch.t) ~(layout : Layout.env)
     }
   in
   let entry_label = (Ir.entry_block f).Ir.label in
-  let reads = reg_read_counts f in
-  let scratch = ref 0 in
-  let c_blocks =
-    Array.map
-      (fun b ->
-        let fused, slots = fuse_block ~arch ~reads (cblock b) in
-        if slots > !scratch then scratch := slots;
-        fused)
-      blocks
+  (* Registers take slots [0, nregs); each distinct constant a micro-op
+     reads gets the next slot. *)
+  let nregs = max f.Ir.f_nregs 1 in
+  let consts = Hashtbl.create 16 in        (* (kind, bits) -> slot *)
+  let const_vals = ref [] in               (* (slot, value) *)
+  let slot = function
+    | C_reg r -> if r >= 0 && r < nregs then Some r else None
+    | C_val v -> (
+      let key =
+        match v with
+        | Value.VInt bits -> (kind_int, bits)
+        | Value.VFloat x -> (kind_float, Int64.bits_of_float x)
+      in
+      match Hashtbl.find_opt consts key with
+      | Some s -> Some s
+      | None ->
+        let s = nregs + Hashtbl.length consts in
+        Hashtbl.replace consts key s;
+        const_vals := (s, v) :: !const_vals;
+        Some s)
+    | C_slow_op _ -> None
   in
+  let c_blocks = Array.map (fun b -> fuse_block ~arch ~slot (cblock b)) blocks in
+  let nslots = nregs + Hashtbl.length consts in
+  let c_ints = Bytes.make (8 * nslots) '\000' in
+  let c_floats = Array.make nslots 0.0 in
+  let c_kinds = Bytes.make nslots kind_int in
+  List.iter
+    (fun (s, v) ->
+      match v with
+      | Value.VInt bits -> Bytes.set_int64_ne c_ints (8 * s) bits
+      | Value.VFloat x ->
+        c_floats.(s) <- x;
+        Bytes.set c_kinds s kind_float)
+    !const_vals;
   {
     c_func = f;
     c_blocks;
     c_index;
     c_entry = (match idx_of entry_label with Some i -> i | None -> 0);
-    c_scratch = !scratch;
+    c_nregs = nregs;
+    c_ints;
+    c_floats;
+    c_kinds;
   }
 
 (* Emit a runtime event stamped with this host's simulated clock. *)

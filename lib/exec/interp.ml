@@ -49,29 +49,66 @@ let mask_to_width (ty : Ty.t) v =
   if bits >= 64 then v
   else Int64.logand v (Int64.sub (Int64.shift_left 1L bits) 1L)
 
+(* A call's register file (see [Host]): int cells, float cells and one
+   kind byte per slot.  Per-frame, so an effect suspension mid-chain
+   cannot be clobbered by another session's client. *)
 type frame = {
   host : Host.t;
-  regs : Value.t array;
   func : Host.compiled;
-  scratch : float array;
-      (* unboxed int64 bit patterns for fused chains (Host.chain);
-         per-frame so an effect suspension mid-chain cannot be
-         clobbered by another session's client *)
+  ints : Bytes.t;
+  floats : float array;
+  kinds : Bytes.t;
 }
 
-let no_scratch : float array = [||]
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
-(* A chain's int slots hold int64 bit patterns, its bool slots 0 or 1. *)
-let[@inline] get_bits scratch s =
-  Int64.bits_of_float (Array.unsafe_get scratch s)
+(* Out of line, so the checked reads below stay small. *)
+let[@inline never] int_expected () =
+  raise (Value.Type_trap "expected integer, got float")
 
-let[@inline] set_bits scratch s v =
-  Array.unsafe_set scratch s (Int64.float_of_bits v)
+let[@inline never] float_expected () =
+  raise (Value.Type_trap "expected float, got integer")
 
-let true_bits = Int64.float_of_bits 1L
+(* Slot reads check the kind byte, as [Value.to_int]/[Value.to_float]
+   checked the constructor. *)
+let[@inline] get_int fr s =
+  if Bytes.unsafe_get fr.kinds s <> Host.kind_int then int_expected ();
+  get64u fr.ints (s lsl 3)
 
-let[@inline] set_bool scratch s b =
-  Array.unsafe_set scratch s (if b then true_bits else 0.0)
+let[@inline] get_float fr s =
+  if Bytes.unsafe_get fr.kinds s <> Host.kind_float then float_expected ();
+  Array.unsafe_get fr.floats s
+
+let[@inline] set_int fr s v =
+  set64u fr.ints (s lsl 3) v;
+  Bytes.unsafe_set fr.kinds s Host.kind_int
+
+let[@inline] set_float fr s v =
+  Array.unsafe_set fr.floats s v;
+  Bytes.unsafe_set fr.kinds s Host.kind_float
+
+let[@inline] set_bool fr s b = set_int fr s (if b then 1L else 0L)
+
+(* Register access for the boxed path: box on read, unbox on write. *)
+let check_reg fr r =
+  if r < 0 || r >= fr.func.Host.c_nregs then invalid_arg "index out of bounds"
+
+let get_reg fr r : Value.t =
+  check_reg fr r;
+  if Bytes.unsafe_get fr.kinds r = Host.kind_int then
+    Value.VInt (get64u fr.ints (r lsl 3))
+  else Value.VFloat (Array.unsafe_get fr.floats r)
+
+let[@inline] reg_int fr r =
+  check_reg fr r;
+  get_int fr r
+
+let set_reg fr r (v : Value.t) =
+  check_reg fr r;
+  match v with
+  | Value.VInt x -> set_int fr r x
+  | Value.VFloat x -> set_float fr r x
 
 let read_cstring host addr =
   let buf = Buffer.create 16 in
@@ -87,7 +124,7 @@ let read_cstring host addr =
 
 let rec eval_operand frame (op : Ir.operand) : Value.t =
   match op with
-  | Ir.Reg r -> frame.regs.(r)
+  | Ir.Reg r -> get_reg frame r
   | Ir.Int (v, ty) -> Value.VInt (canon ty v)
   | Ir.Float (v, _) -> Value.VFloat v
   | Ir.Null _ -> Value.VInt 0L
@@ -236,14 +273,15 @@ and eval_fn_map host dir v : Value.t =
   | Some translate -> translate dir v
   | None -> v
 
-(* {1 Pre-decoded evaluation — the hot path}
+(* {1 Pre-decoded evaluation — the boxed path}
 
-   Mirrors [eval_rvalue] over [Host.crv]; constants are pre-boxed, so
-   evaluating an operand is an array read or a pointer return. *)
+   Mirrors [eval_rvalue] over [Host.crv] for the instructions no chain
+   covers; constants are pre-boxed, and a register is boxed from the
+   frame's register file when read. *)
 
 and eval_cop frame (op : Host.cop) : Value.t =
   match op with
-  | Host.C_reg r -> frame.regs.(r)
+  | Host.C_reg r -> get_reg frame r
   | Host.C_val v -> v
   | Host.C_slow_op op -> eval_operand frame op
 
@@ -409,13 +447,16 @@ and run_function (host : Host.t) (compiled : Host.compiled) argv : Value.t =
   if List.length argv <> List.length f.Ir.f_params then
     trap "%s: called with %d arguments, expected %d" f.Ir.f_name
       (List.length argv) (List.length f.Ir.f_params);
-  let regs = Array.make (max f.Ir.f_nregs 1) Value.zero in
-  List.iteri (fun i v -> regs.(i) <- v) argv;
-  let scratch =
-    if compiled.Host.c_scratch = 0 then no_scratch
-    else Array.make compiled.Host.c_scratch 0.0
+  let frame =
+    {
+      host;
+      func = compiled;
+      ints = Bytes.copy compiled.Host.c_ints;
+      floats = Array.copy compiled.Host.c_floats;
+      kinds = Bytes.copy compiled.Host.c_kinds;
+    }
   in
-  let frame = { host; regs; func = compiled; scratch } in
+  List.iteri (set_reg frame) argv;
   let mark = Stack_alloc.frame_mark host.Host.stack in
   let result = run_blocks frame compiled.Host.c_entry in
   Stack_alloc.release host.Host.stack mark;
@@ -450,7 +491,7 @@ and run_blocks frame idx : Value.t =
         host.Host.clock.Host.now
         +. (Array.unsafe_get costs i *. host.Host.slowdown);
       (match instr with
-      | Host.C_assign (r, rv) -> frame.regs.(r) <- eval_crv frame rv
+      | Host.C_assign (r, rv) -> set_reg frame r (eval_crv frame rv)
       | Host.C_effect rv -> ignore (eval_crv frame rv)
       | Host.C_store (ty, v, a) ->
         Host.store_scalar host ty
@@ -468,10 +509,18 @@ and run_blocks frame idx : Value.t =
   match b.Host.cb_term with
   | Host.Ct_br next -> run_blocks frame next
   | Host.Ct_cbr (c, t, e) ->
-    if Value.to_bool (eval_cop frame c) then run_blocks frame t
-    else run_blocks frame e
+    let taken =
+      match c with
+      | Host.C_reg r -> not (Int64.equal (reg_int frame r) 0L)
+      | _ -> Value.to_bool (eval_cop frame c)
+    in
+    if taken then run_blocks frame t else run_blocks frame e
   | Host.Ct_switch (v, cases, default) ->
-    let scrutinee = Value.to_int (eval_cop frame v) in
+    let scrutinee =
+      match v with
+      | Host.C_reg r -> reg_int frame r
+      | _ -> Value.to_int (eval_cop frame v)
+    in
     let n = Array.length cases in
     let target = ref default in
     let k = ref 0 in
@@ -490,33 +539,13 @@ and run_blocks frame idx : Value.t =
   | Host.Ct_unreachable -> trap "%s: reached unreachable" fname
   | Host.Ct_slow term -> exec_slow_term frame term
 
-(* Fused chain (see Host.chain): preload the boxed inputs into the
-   frame's float-array scratch at their slots' kinds, run the micro-ops
-   with the same per-instruction fuel/count/clock sequence the unfused
-   instructions performed, then box the live-outs back into the
-   register file.  All intermediate arithmetic stays unboxed: floats
-   live in the flat float array as themselves, int64 bit patterns via
-   [Int64.float_of_bits], and the compiler keeps values consumed
-   directly by int64 and float primitives out of the heap. *)
-and exec_chain frame (ch : Host.chain) : unit =
-  let host = frame.host in
-  let scratch = frame.scratch in
-  let regs = frame.regs in
-  let pre = ch.Host.ch_pre in
-  let npre = Array.length pre in
-  let p = ref 0 in
-  while !p < npre do
-    let v = Array.unsafe_get regs (Array.unsafe_get pre (!p + 1)) in
-    Array.unsafe_set scratch (Array.unsafe_get pre !p)
-      (if Array.unsafe_get pre (!p + 2) = Host.kind_float then Value.to_float v
-       else Int64.float_of_bits (Value.to_int v));
-    p := !p + 3
-  done;
-  let islots = ch.Host.ch_imm_slots and ivals = ch.Host.ch_imm_vals in
-  for j = 0 to Array.length islots - 1 do
-    Array.unsafe_set scratch (Array.unsafe_get islots j)
-      (Array.unsafe_get ivals j)
-  done;
+(* Fused chain (see Host.chain): run the micro-ops on the frame's
+   register file with the same per-instruction fuel/count/clock
+   sequence the boxed instructions performed.  Int cells go through
+   [%caml_bytes_get64u]/[%caml_bytes_set64u] and float cells through
+   the flat float array, so nothing is boxed. *)
+and exec_chain fr (ch : Host.chain) : unit =
+  let host = fr.host in
   let ops = ch.Host.ch_ops and costs = ch.Host.ch_costs in
   for j = 0 to Array.length ops - 1 do
     if host.Host.fuel = 0 then raise Out_of_fuel;
@@ -528,102 +557,83 @@ and exec_chain frame (ch : Host.chain) : unit =
     let m = Array.unsafe_get ops j in
     let d = m.Host.mo_dst and a = m.Host.mo_a and b = m.Host.mo_b in
     match m.Host.mo_op with
-    | Host.M_add ->
-      set_bits scratch d (Int64.add (get_bits scratch a) (get_bits scratch b))
-    | Host.M_sub ->
-      set_bits scratch d (Int64.sub (get_bits scratch a) (get_bits scratch b))
-    | Host.M_mul ->
-      set_bits scratch d (Int64.mul (get_bits scratch a) (get_bits scratch b))
-    | Host.M_and ->
-      set_bits scratch d
-        (Int64.logand (get_bits scratch a) (get_bits scratch b))
-    | Host.M_or ->
-      set_bits scratch d (Int64.logor (get_bits scratch a) (get_bits scratch b))
-    | Host.M_xor ->
-      set_bits scratch d
-        (Int64.logxor (get_bits scratch a) (get_bits scratch b))
+    | Host.M_add -> set_int fr d (Int64.add (get_int fr a) (get_int fr b))
+    | Host.M_sub -> set_int fr d (Int64.sub (get_int fr a) (get_int fr b))
+    | Host.M_mul -> set_int fr d (Int64.mul (get_int fr a) (get_int fr b))
+    | Host.M_and -> set_int fr d (Int64.logand (get_int fr a) (get_int fr b))
+    | Host.M_or -> set_int fr d (Int64.logor (get_int fr a) (get_int fr b))
+    | Host.M_xor -> set_int fr d (Int64.logxor (get_int fr a) (get_int fr b))
     | Host.M_shl ->
-      set_bits scratch d
-        (Int64.shift_left (get_bits scratch a)
-           (Int64.to_int (get_bits scratch b) land 63))
+      set_int fr d
+        (Int64.shift_left (get_int fr a) (Int64.to_int (get_int fr b) land 63))
     | Host.M_lshr ->
-      set_bits scratch d
-        (Int64.shift_right_logical (get_bits scratch a)
-           (Int64.to_int (get_bits scratch b) land 63))
+      set_int fr d
+        (Int64.shift_right_logical (get_int fr a)
+           (Int64.to_int (get_int fr b) land 63))
     | Host.M_ashr ->
-      set_bits scratch d
-        (Int64.shift_right (get_bits scratch a)
-           (Int64.to_int (get_bits scratch b) land 63))
+      set_int fr d
+        (Int64.shift_right (get_int fr a) (Int64.to_int (get_int fr b) land 63))
     | Host.M_sdiv | Host.M_srem as op ->
-      (* Charged above, like the unfused division that traps. *)
-      let x = get_bits scratch a and y = get_bits scratch b in
+      (* Charged above, like the boxed division that traps. *)
+      let x = get_int fr a in
+      let y = get_int fr b in
       if Int64.equal y 0L then raise (Trap "division by zero");
-      set_bits scratch d
+      set_int fr d
         (match op with Host.M_sdiv -> Int64.div x y | _ -> Int64.rem x y)
     | Host.M_udiv | Host.M_urem as op ->
       (* Kept apart: the stdlib's unsigned division returns boxed. *)
-      let x = get_bits scratch a and y = get_bits scratch b in
+      let x = get_int fr a in
+      let y = get_int fr b in
       if Int64.equal y 0L then raise (Trap "division by zero");
-      set_bits scratch d
+      set_int fr d
         (match op with
         | Host.M_udiv -> Int64.unsigned_div x y
         | _ -> Int64.unsigned_rem x y)
     | Host.M_slt ->
-      set_bool scratch d
-        (Int64.compare (get_bits scratch a) (get_bits scratch b) < 0)
+      set_bool fr d (Int64.compare (get_int fr a) (get_int fr b) < 0)
     | Host.M_sle ->
-      set_bool scratch d
-        (Int64.compare (get_bits scratch a) (get_bits scratch b) <= 0)
+      set_bool fr d (Int64.compare (get_int fr a) (get_int fr b) <= 0)
     | Host.M_sgt ->
-      set_bool scratch d
-        (Int64.compare (get_bits scratch a) (get_bits scratch b) > 0)
+      set_bool fr d (Int64.compare (get_int fr a) (get_int fr b) > 0)
     | Host.M_sge ->
-      set_bool scratch d
-        (Int64.compare (get_bits scratch a) (get_bits scratch b) >= 0)
+      set_bool fr d (Int64.compare (get_int fr a) (get_int fr b) >= 0)
     | Host.M_ult ->
-      set_bool scratch d
-        (Int64.unsigned_compare (get_bits scratch a) (get_bits scratch b) < 0)
+      set_bool fr d (Int64.unsigned_compare (get_int fr a) (get_int fr b) < 0)
     | Host.M_ule ->
-      set_bool scratch d
-        (Int64.unsigned_compare (get_bits scratch a) (get_bits scratch b) <= 0)
+      set_bool fr d (Int64.unsigned_compare (get_int fr a) (get_int fr b) <= 0)
     | Host.M_ugt ->
-      set_bool scratch d
-        (Int64.unsigned_compare (get_bits scratch a) (get_bits scratch b) > 0)
+      set_bool fr d (Int64.unsigned_compare (get_int fr a) (get_int fr b) > 0)
     | Host.M_uge ->
-      set_bool scratch d
-        (Int64.unsigned_compare (get_bits scratch a) (get_bits scratch b) >= 0)
-    | Host.M_fadd ->
-      Array.unsafe_set scratch d
-        (Array.unsafe_get scratch a +. Array.unsafe_get scratch b)
-    | Host.M_fsub ->
-      Array.unsafe_set scratch d
-        (Array.unsafe_get scratch a -. Array.unsafe_get scratch b)
-    | Host.M_fmul ->
-      Array.unsafe_set scratch d
-        (Array.unsafe_get scratch a *. Array.unsafe_get scratch b)
-    | Host.M_fdiv ->
-      Array.unsafe_set scratch d
-        (Array.unsafe_get scratch a /. Array.unsafe_get scratch b)
-    | Host.M_feq ->
-      set_bool scratch d
-        (Array.unsafe_get scratch a = Array.unsafe_get scratch b)
-    | Host.M_fne ->
-      set_bool scratch d
-        (Array.unsafe_get scratch a <> Array.unsafe_get scratch b)
-    | Host.M_flt ->
-      set_bool scratch d
-        (Array.unsafe_get scratch a < Array.unsafe_get scratch b)
-    | Host.M_fle ->
-      set_bool scratch d
-        (Array.unsafe_get scratch a <= Array.unsafe_get scratch b)
-    | Host.M_fgt ->
-      set_bool scratch d
-        (Array.unsafe_get scratch a > Array.unsafe_get scratch b)
-    | Host.M_fge ->
-      set_bool scratch d
-        (Array.unsafe_get scratch a >= Array.unsafe_get scratch b)
-    | Host.M_load | Host.M_load_f32 as op -> (
-      let a64 = get_bits scratch a in
+      set_bool fr d (Int64.unsigned_compare (get_int fr a) (get_int fr b) >= 0)
+    | Host.M_eq | Host.M_ne as op ->
+      (* [Value.equal]: mixed kinds differ, floats by [Float.equal]. *)
+      let k = Bytes.unsafe_get fr.kinds a in
+      let eq =
+        k = Bytes.unsafe_get fr.kinds b
+        && (if k = Host.kind_int then
+              Int64.equal (get64u fr.ints (a lsl 3)) (get64u fr.ints (b lsl 3))
+            else
+              Float.equal (Array.unsafe_get fr.floats a)
+                (Array.unsafe_get fr.floats b))
+      in
+      set_bool fr d (match op with Host.M_eq -> eq | _ -> not eq)
+    | Host.M_fadd -> set_float fr d (get_float fr a +. get_float fr b)
+    | Host.M_fsub -> set_float fr d (get_float fr a -. get_float fr b)
+    | Host.M_fmul -> set_float fr d (get_float fr a *. get_float fr b)
+    | Host.M_fdiv -> set_float fr d (get_float fr a /. get_float fr b)
+    | Host.M_feq -> set_bool fr d (get_float fr a = get_float fr b)
+    | Host.M_fne -> set_bool fr d (get_float fr a <> get_float fr b)
+    | Host.M_flt -> set_bool fr d (get_float fr a < get_float fr b)
+    | Host.M_fle -> set_bool fr d (get_float fr a <= get_float fr b)
+    | Host.M_fgt -> set_bool fr d (get_float fr a > get_float fr b)
+    | Host.M_fge -> set_bool fr d (get_float fr a >= get_float fr b)
+    | Host.M_select ->
+      let s = if Int64.equal (get_int fr a) 0L then m.Host.mo_n else b in
+      set64u fr.ints (d lsl 3) (get64u fr.ints (s lsl 3));
+      Array.unsafe_set fr.floats d (Array.unsafe_get fr.floats s);
+      Bytes.unsafe_set fr.kinds d (Bytes.unsafe_get fr.kinds s)
+    | Host.M_load | Host.M_load_f64 | Host.M_load_f32 as op -> (
+      let a64 = get_int fr a in
       if Int64.compare a64 0L < 0 then
         raise (Value.Type_trap "negative address");
       let addr = Int64.to_int a64 in
@@ -649,18 +659,20 @@ and exec_chain frame (ch : Host.chain) : unit =
       match op with
       | Host.M_load ->
         let s = m.Host.mo_k in
-        set_bits scratch d (Int64.shift_right (Int64.shift_left bits s) s)
-      | _ ->
-        Array.unsafe_set scratch d (Int32.float_of_bits (Int64.to_int32 bits)))
-    | Host.M_store | Host.M_store_f32 as op -> (
-      let v =
-        match op with
-        | Host.M_store -> get_bits scratch a
-        | _ -> Int64.of_int32 (Int32.bits_of_float (Array.unsafe_get scratch a))
-      in
-      let a64 = get_bits scratch b in
+        set_int fr d (Int64.shift_right (Int64.shift_left bits s) s)
+      | Host.M_load_f64 -> set_float fr d (Int64.float_of_bits bits)
+      | _ -> set_float fr d (Int32.float_of_bits (Int64.to_int32 bits)))
+    | Host.M_store | Host.M_store_f64 | Host.M_store_f32 as op -> (
+      (* Address first: the boxed store converts it first. *)
+      let a64 = get_int fr b in
       if Int64.compare a64 0L < 0 then
         raise (Value.Type_trap "negative address");
+      let v =
+        match op with
+        | Host.M_store -> get_int fr a
+        | Host.M_store_f64 -> Int64.bits_of_float (get_float fr a)
+        | _ -> Int64.of_int32 (Int32.bits_of_float (get_float fr a))
+      in
       let addr = Int64.to_int a64 in
       let nbytes = m.Host.mo_n in
       let mem = host.Host.mem in
@@ -678,57 +690,35 @@ and exec_chain frame (ch : Host.chain) : unit =
         | _ -> Bytes.set_uint8 mem.Memory.slab base (Int64.to_int v land 0xff)
       else Host.store_bits host addr nbytes v)
     | Host.M_gep ->
-      let base = get_bits scratch a in
+      let base = get_int fr a in
       if Int64.compare base 0L < 0 then
         raise (Value.Type_trap "negative address");
       let withc = Int64.add base (Int64.of_int m.Host.mo_k) in
       let sum =
         if b >= 0 then
-          Int64.add withc
-            (Int64.mul (get_bits scratch b) (Int64.of_int m.Host.mo_n))
+          Int64.add withc (Int64.mul (get_int fr b) (Int64.of_int m.Host.mo_n))
         else withc
       in
       (* Address arithmetic wraps at the native-int width, exactly as
-         the interpreted walk's [int] accumulator did. *)
-      set_bits scratch d (Int64.of_int (Int64.to_int sum))
-    | Host.M_move -> Array.unsafe_set scratch d (Array.unsafe_get scratch a)
+         the boxed walk's [int] accumulator did. *)
+      set_int fr d (Int64.of_int (Int64.to_int sum))
+    | Host.M_move -> set_int fr d (get_int fr a)
     | Host.M_canon ->
       let s = m.Host.mo_n in
-      set_bits scratch d
-        (Int64.shift_right (Int64.shift_left (get_bits scratch a) s) s)
+      set_int fr d (Int64.shift_right (Int64.shift_left (get_int fr a) s) s)
     | Host.M_zext ->
       let z = m.Host.mo_n and s = m.Host.mo_k in
-      let x =
-        Int64.shift_right_logical (Int64.shift_left (get_bits scratch a) z) z
-      in
-      set_bits scratch d (Int64.shift_right (Int64.shift_left x s) s)
-    | Host.M_si_to_fp ->
-      Array.unsafe_set scratch d (Int64.to_float (get_bits scratch a))
+      let x = Int64.shift_right_logical (Int64.shift_left (get_int fr a) z) z in
+      set_int fr d (Int64.shift_right (Int64.shift_left x s) s)
+    | Host.M_si_to_fp -> set_float fr d (Int64.to_float (get_int fr a))
     | Host.M_fp_to_si ->
       let s = m.Host.mo_n in
-      set_bits scratch d
+      set_int fr d
         (Int64.shift_right
-           (Int64.shift_left (Int64.of_float (Array.unsafe_get scratch a)) s)
+           (Int64.shift_left (Int64.of_float (get_float fr a)) s)
            s)
     | Host.M_fp_trunc ->
-      Array.unsafe_set scratch d
-        (Int32.float_of_bits (Int32.bits_of_float (Array.unsafe_get scratch a)))
-  done;
-  let post = ch.Host.ch_post in
-  let npost = Array.length post in
-  let q = ref 0 in
-  while !q < npost do
-    let r = Array.unsafe_get post !q in
-    let s = Array.unsafe_get post (!q + 1) in
-    let kind = Array.unsafe_get post (!q + 2) in
-    Array.unsafe_set regs r
-      (if kind = Host.kind_float then Value.VFloat (Array.unsafe_get scratch s)
-       else
-         let bits = get_bits scratch s in
-         if kind = Host.kind_bool then
-           if Int64.equal bits 0L then Value.vfalse else Value.vtrue
-         else Value.VInt bits);
-    q := !q + 3
+      set_float fr d (Int32.float_of_bits (Int32.bits_of_float (get_float fr a)))
   done
 
 (* Terminator naming a block the compile pass could not resolve: jump

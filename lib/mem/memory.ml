@@ -12,9 +12,11 @@
    doubling, freed frames recycled through a free list) instead of one
    heap block per page: page-fault service, block transfer and snapshot
    capture are single blits over the slab, and scalar access goes
-   through a one-entry TLB plus the stdlib's unaligned word primitives
-   ([Bytes.get_int64_le] and friends) so the per-byte Hashtbl lookups
-   disappear from the interpreter's hot path.  A profiler's touch
+   through a 64-entry direct-mapped TLB (indexed by [page land 63])
+   plus the stdlib's unaligned word primitives ([Bytes.get_int64_le]
+   and friends), so the page table's Hashtbl is consulted only on a
+   TLB miss.  The table stays the single source of truth: every
+   operation that removes or remaps a page flushes the TLB.  A profiler's touch
    callback rides the same path: it fires once per page per access,
    not once per byte (see the scalar-access notes below). *)
 
@@ -30,9 +32,11 @@ type t = {
   mutable free_frames : int list;    (* recycled frame indices *)
   table : (int, int) Hashtbl.t;      (* page number -> frame index *)
   dirty : (int, unit) Hashtbl.t;
-  mutable tlb_page : int;            (* last-translated page, -1 = none *)
-  mutable tlb_off : int;             (* its frame's byte offset in [slab] *)
-  mutable dirty_cached : int;        (* page already marked dirty, -1 = none *)
+  tlb_page : int array;              (* cached page per entry, -1 = none *)
+  tlb_off : int array;               (* its frame's byte offset in [slab] *)
+  tlb_dirty : Bytes.t;               (* '\001': entry's page already dirty;
+                                        bytes, not bools: fleets keep two
+                                        memories per client *)
   mutable on_fault : (t -> int -> unit) option;
       (* must install the page (see [install_page]) or raise *)
   mutable track_dirty : bool;
@@ -46,6 +50,9 @@ type t = {
    resident bytes in total allocation). *)
 let initial_frames = 4
 
+let tlb_entries = 64
+let tlb_mask = tlb_entries - 1
+
 let create role =
   {
     role;
@@ -54,9 +61,9 @@ let create role =
     free_frames = [];
     table = Hashtbl.create 1024;
     dirty = Hashtbl.create 64;
-    tlb_page = -1;
-    tlb_off = 0;
-    dirty_cached = -1;
+    tlb_page = Array.make tlb_entries (-1);
+    tlb_off = Array.make tlb_entries 0;
+    tlb_dirty = Bytes.make tlb_entries '\000';
     track_dirty = false;
     on_fault = None;
     on_touch = None;
@@ -64,7 +71,7 @@ let create role =
   }
 
 (* Frame offsets are stable across growth: the old prefix is blitted
-   into the larger slab, so a cached [tlb_off] stays valid. *)
+   into the larger slab, so cached [tlb_off] entries stay valid. *)
 let ensure_capacity t frames =
   let need = frames * Region.page_size in
   if Bytes.length t.slab < need then begin
@@ -103,6 +110,10 @@ let install_page t page bytes =
 
 let has_page t page = Hashtbl.mem t.table page
 
+let flush_tlb t =
+  Array.fill t.tlb_page 0 tlb_entries (-1);
+  Bytes.fill t.tlb_dirty 0 tlb_entries '\000'
+
 let drop_page t page =
   (match Hashtbl.find_opt t.table page with
   | Some f ->
@@ -110,16 +121,14 @@ let drop_page t page =
     t.free_frames <- f :: t.free_frames
   | None -> ());
   Hashtbl.remove t.dirty page;
-  t.tlb_page <- -1;
-  t.dirty_cached <- -1
+  flush_tlb t
 
 let drop_all_pages t =
   Hashtbl.reset t.table;
   Hashtbl.reset t.dirty;
   t.frames_used <- 0;
   t.free_frames <- [];
-  t.tlb_page <- -1;
-  t.dirty_cached <- -1
+  flush_tlb t
 
 (* Byte offset in [slab] of [page]'s frame, materializing (Home) or
    faulting (Remote) exactly as the per-page store did. *)
@@ -144,12 +153,16 @@ let frame_off t page =
         | None -> raise (Page_fault page))
       | None -> raise (Page_fault page)))
 
+(* A refilled entry forgets its dirty flag: the new page may not be
+   in [dirty] yet. *)
 let page_off t page =
-  if page = t.tlb_page then t.tlb_off
+  let e = page land tlb_mask in
+  if Array.unsafe_get t.tlb_page e = page then Array.unsafe_get t.tlb_off e
   else begin
     let off = frame_off t page in
-    t.tlb_page <- page;
-    t.tlb_off <- off;
+    Array.unsafe_set t.tlb_page e page;
+    Array.unsafe_set t.tlb_off e off;
+    Bytes.unsafe_set t.tlb_dirty e '\000';
     off
   end
 
@@ -166,10 +179,12 @@ let note_touched t addr =
   | Some callback -> callback (Region.page_of_addr addr)
   | None -> ()
 
+(* [page] was just translated, so it holds its TLB entry. *)
 let mark_dirty t page =
-  if t.track_dirty && page <> t.dirty_cached then begin
+  let e = page land tlb_mask in
+  if t.track_dirty && Bytes.unsafe_get t.tlb_dirty e = '\000' then begin
     Hashtbl.replace t.dirty page ();
-    t.dirty_cached <- page
+    Bytes.unsafe_set t.tlb_dirty e '\001'
   end
 
 let read_byte t addr =
@@ -209,8 +224,8 @@ let page_limit = Region.page_size
 
 (* Region check, touch callback and translation for an access at
    [addr] (offset [in_page] in its page) that stays inside one page:
-   the access's byte offset in [slab].  Leaves [tlb_page] at the
-   access's page, which the store paths then mark dirty. *)
+   the access's byte offset in [slab].  Leaves the access's page in
+   its TLB entry, which the store paths then mark dirty. *)
 let[@inline] admit t addr in_page =
   check_mapped addr;
   let page = Region.page_of_addr addr in
@@ -258,7 +273,7 @@ let store_le t addr nbytes value =
         ~write_byte:(fun a b ->
           Bytes.set t.slab (base + a - addr) (Char.chr (b land 0xff)))
         addr nbytes value);
-    if t.track_dirty then mark_dirty t t.tlb_page
+    if t.track_dirty then mark_dirty t (Region.page_of_addr addr)
   end
   else
     Scalar.store_int No_arch.Arch.Little
@@ -283,7 +298,7 @@ let store_base t addr nbytes =
   let in_page = Region.offset_in_page addr in
   if in_page + nbytes <= page_limit then begin
     let base = admit t addr in_page in
-    if t.track_dirty then mark_dirty t t.tlb_page;
+    if t.track_dirty then mark_dirty t (Region.page_of_addr addr);
     base
   end
   else -1
@@ -313,7 +328,7 @@ let write_block t addr data =
     let in_page = Region.offset_in_page a in
     let seg = min (len - !pos) (page_limit - in_page) in
     Bytes.blit data !pos t.slab (admit t a in_page) seg;
-    if t.track_dirty then mark_dirty t t.tlb_page;
+    if t.track_dirty then mark_dirty t (Region.page_of_addr a);
     pos := !pos + seg
   done
 
@@ -328,7 +343,7 @@ let dirty_pages t =
 
 let clear_dirty t =
   Hashtbl.reset t.dirty;
-  t.dirty_cached <- -1
+  Bytes.fill t.tlb_dirty 0 tlb_entries '\000'
 
 let resident_count t = Hashtbl.length t.table
 let resident_bytes t = Hashtbl.length t.table * Region.page_size
@@ -371,8 +386,7 @@ let restore t s =
   List.iter (fun page -> Hashtbl.replace t.dirty page ()) s.s_dirty;
   t.frames_used <- s.s_frames_used;
   t.free_frames <- s.s_free_frames;
-  t.tlb_page <- -1;
-  t.dirty_cached <- -1;
+  flush_tlb t;
   t.track_dirty <- s.s_track_dirty
 
 (* Profiler hook installation. *)

@@ -10,8 +10,10 @@
 
     Pages are frames in one flat [Bytes.t] slab (see the implementation
     header): fault service, block transfer and snapshots are blits, and
-    scalar access uses a one-entry TLB plus unaligned word reads, with
-    or without a touch callback installed. *)
+    scalar access uses a 64-entry direct-mapped TLB plus unaligned word
+    reads, with or without a touch callback installed.  The page table
+    stays the source of truth; [drop_page], [drop_all_pages] and
+    [restore] flush the TLB. *)
 
 (** Unhandled fault, with the page number. *)
 exception Page_fault of int
@@ -28,9 +30,9 @@ type t = {
   mutable free_frames : int list;
   table : (int, int) Hashtbl.t;  (** page number -> frame index *)
   dirty : (int, unit) Hashtbl.t;
-  mutable tlb_page : int;
-  mutable tlb_off : int;
-  mutable dirty_cached : int;
+  tlb_page : int array;  (** 64-entry direct-mapped TLB, by [page land 63] *)
+  tlb_off : int array;
+  tlb_dirty : Bytes.t;
   mutable on_fault : (t -> int -> unit) option;
       (** must install the missing page or raise *)
   mutable track_dirty : bool;

@@ -267,16 +267,36 @@ let expect_type_trap msg ~fused host =
   | _ -> Alcotest.fail ("expected Type_trap " ^ msg)
   | exception Value.Type_trap got -> Alcotest.(check string) "message" msg got
 
+let float_into_int_instrs =
+  [
+    Ir.Assign (0, Ir.Cast (Ir.Bitcast, Ty.F64, f64 1.5, Ty.I64));
+    Ir.Assign (1, Ir.Bin (Ir.Add, Ir.Reg 0, i64 1L));
+    Ir.Assign (2, Ir.Bin (Ir.Add, Ir.Reg 1, i64 2L));
+    Ir.Assign (3, Ir.Bin (Ir.Add, Ir.Reg 2, i64 3L));
+  ]
+
 let test_trap_float_into_int_chain () =
   expect_type_trap "expected integer, got float" ~fused:3
-    (one_block_host 4
-       [
-         Ir.Assign (0, Ir.Cast (Ir.Bitcast, Ty.F64, f64 1.5, Ty.I64));
-         Ir.Assign (1, Ir.Bin (Ir.Add, Ir.Reg 0, i64 1L));
-         Ir.Assign (2, Ir.Bin (Ir.Add, Ir.Reg 1, i64 2L));
-         Ir.Assign (3, Ir.Bin (Ir.Add, Ir.Reg 2, i64 3L));
-       ]
-       3)
+    (one_block_host 4 float_into_int_instrs 3)
+
+(* The trap fires at the reading add, after its charge: the count and
+   clock are those of instruction-at-a-time execution (call, bitcast,
+   add). *)
+let test_trap_float_into_int_exact () =
+  let arch = Arch.arm32 in
+  let host = one_block_host ~arch 4 float_into_int_instrs 3 in
+  expect_type_trap "expected integer, got float" ~fused:3 host;
+  let cost i = No_arch.Cost.seconds_of arch (No_arch.Cost.class_of_instr i) in
+  let expected =
+    (0. +. No_arch.Cost.seconds_of arch Arch.Cls_call)
+    +. cost (List.nth float_into_int_instrs 0)
+    +. cost (List.nth float_into_int_instrs 1)
+  in
+  Alcotest.(check int) "instructions at trap" 2 host.Host.instr_count;
+  Alcotest.(check string) "clock at trap" (Printf.sprintf "%h" expected)
+    (Printf.sprintf "%h" host.Host.clock.Host.now);
+  Alcotest.(check string) "clock value" "0x1.124eb71d381f3p-14"
+    (Printf.sprintf "%h" host.Host.clock.Host.now)
 
 let test_trap_int_into_float_chain () =
   expect_type_trap "expected float, got integer" ~fused:4
@@ -336,19 +356,24 @@ let outcome f =
   | Value.VInt v -> Printf.sprintf "int %Ld" v
   | Value.VFloat x -> Printf.sprintf "float %Lx" (Int64.bits_of_float x)
   | exception Interp.Trap msg -> "trap " ^ msg
+  | exception Value.Type_trap msg -> "type trap " ^ msg
 
-let fused_outcome ~ty ~a rv =
+(* Registers 1.. hold [inputs], each written by a bitcast at its type;
+   [rv] and a dead add fuse. *)
+let fused_outcome_of inputs rv =
+  let n = List.length inputs in
   let host =
-    one_block_host 3
-      [
-        Ir.Assign (1, Ir.Cast (Ir.Bitcast, ty, a, ty));
-        Ir.Assign (0, rv);
-        Ir.Assign (2, Ir.Bin (Ir.Add, i64 0L, i64 0L));
-      ]
+    one_block_host (n + 2)
+      (List.mapi
+         (fun i (ty, a) -> Ir.Assign (i + 1, Ir.Cast (Ir.Bitcast, ty, a, ty)))
+         inputs
+      @ [ Ir.Assign (0, rv); Ir.Assign (n + 1, Ir.Bin (Ir.Add, i64 0L, i64 0L)) ])
       0
   in
   Alcotest.(check int) "fused micro-ops" 2 (fused_ops host);
   outcome (fun () -> Interp.run_main host)
+
+let fused_outcome ~ty ~a rv = fused_outcome_of [ (ty, a) ] rv
 
 (* Store [a] at [ty] to a stack slot and load it back, fused. *)
 let fused_roundtrip ty a =
@@ -442,7 +467,64 @@ let test_fused_matches_boxed () =
         (outcome (fun () ->
              Value.VFloat (Int32.float_of_bits (Int32.bits_of_float x))))
         (fused_roundtrip Ty.F32 (f64 x)))
-    float_edges
+    float_edges;
+  (* Eq/Ne follow [Value.equal]: mixed kinds differ even when the bits
+     agree (0 vs 0.0), NaN equals NaN, and 0.0 equals -0.0. *)
+  let mixed =
+    List.map (fun x -> (Ty.I64, i64 x)) [ 0L; 1L; -1L; Int64.min_int ]
+    @ List.map (fun x -> (Ty.F64, f64 x)) [ 0.0; -0.0; 1.0; nan; infinity ]
+  in
+  let boxed = function
+    | Ir.Int (x, _) -> Value.VInt x
+    | Ir.Float (x, _) -> Value.VFloat x
+    | _ -> assert false
+  in
+  List.iter
+    (fun ((tx, x), (ty, y)) ->
+      let what = Fmt.str "%a, %a" Value.pp (boxed x) Value.pp (boxed y) in
+      List.iter
+        (fun op ->
+          let expected () = Interp.eval_cmp op (boxed x) (boxed y) in
+          Alcotest.(check string) ("registers " ^ what) (outcome expected)
+            (fused_outcome_of [ (tx, x); (ty, y) ]
+               (Ir.Cmp (op, Ir.Reg 1, Ir.Reg 2)));
+          check ("constant " ^ what) expected ~ty:tx ~a:x
+            (Ir.Cmp (op, Ir.Reg 1, y)))
+        Ir.[ Eq; Ne ])
+    (pairs mixed);
+  (* Select reads its condition as an int and copies the chosen slot
+     with its kind; a float condition traps. *)
+  List.iter
+    (fun (tc, c) ->
+      List.iter
+        (fun (tx, x) ->
+          let what = Fmt.str "select %a ? %a" Value.pp (boxed c) Value.pp (boxed x) in
+          let expected () =
+            if Value.to_bool (boxed c) then boxed x else Value.VInt 7L
+          in
+          Alcotest.(check string) what (outcome expected)
+            (fused_outcome_of [ (tc, c); (tx, x) ]
+               (Ir.Select (Ir.Reg 1, Ir.Reg 2, i64 7L))))
+        mixed)
+    mixed;
+  (* A register never written reads as integer 0, fused or boxed. *)
+  List.iter
+    (fun (what, fused, rv, expected) ->
+      let host = one_block_host 3 [ Ir.Assign (0, rv) ] 0 in
+      Alcotest.(check int) "fused micro-ops" fused (fused_ops host);
+      Alcotest.(check string) ("unwritten register, " ^ what)
+        (outcome expected)
+        (outcome (fun () -> Interp.run_main host)))
+    [
+      ( "fused add", 1, Ir.Bin (Ir.Add, Ir.Reg 2, i64 5L),
+        fun () -> Interp.eval_binop Ir.Add Value.zero (Value.VInt 5L) );
+      ( "fused eq", 1, Ir.Cmp (Ir.Eq, Ir.Reg 2, i64 0L),
+        fun () -> Interp.eval_cmp Ir.Eq Value.zero (Value.VInt 0L) );
+      ( "fused fadd", 1, Ir.Bin (Ir.Fadd, Ir.Reg 2, f64 1.0),
+        fun () -> Interp.eval_binop Ir.Fadd Value.zero (Value.VFloat 1.0) );
+      ( "boxed bitcast", 0, Ir.Cast (Ir.Bitcast, Ty.I64, Ir.Reg 2, Ty.I64),
+        fun () -> Value.zero );
+    ]
 
 (* Golden equivalence: every registry program run locally on every
    architecture (arm32_be keeps its memory ops unfused), digested.
@@ -485,6 +567,8 @@ let tests =
     Alcotest.test_case "traps" `Quick test_traps;
     Alcotest.test_case "trap: float into int chain" `Quick
       test_trap_float_into_int_chain;
+    Alcotest.test_case "trap: float into int chain, exact count and clock"
+      `Quick test_trap_float_into_int_exact;
     Alcotest.test_case "trap: int into float chain" `Quick
       test_trap_int_into_float_chain;
     Alcotest.test_case "trap: division by zero in chain" `Quick

@@ -242,6 +242,214 @@ let prop_touch_once_per_page =
                (Memory.page_copy plain p))
            pages)
 
+(* The TLB against a reference model.  The page pool spans 10 x 64
+   pages, so pages with the same [page land 63] keep evicting each
+   other; the model is a plain page -> bytes table with no cache. *)
+type tlb_op =
+  | T_load of int * int
+  | T_store of int * int * int64
+  | T_load_base of int * int
+  | T_store_base of int * int * int64
+  | T_read of int * int
+  | T_write of int * string
+  | T_clear_dirty
+  | T_drop of int
+  | T_track of bool
+  | T_snapshot
+  | T_restore
+
+let pool_page k j = Region.page_of_addr Region.heap_base + (64 * k) + j
+
+let gen_tlb_op =
+  let open QCheck.Gen in
+  (* Half the accesses hit 8 hot pages, so pages are revisited while
+     their entries are still cached. *)
+  let page =
+    frequency
+      [ (1, map (pool_page 0) (int_bound 7));
+        (1, map2 pool_page (int_bound 9) (int_bound 7)) ]
+  in
+  let addr =
+    let* p = page in
+    let* off =
+      oneof [ int_bound (Region.page_size - 1);
+              map (fun k -> Region.page_size - k) (int_range 1 9) ]
+    in
+    return (Region.addr_of_page p + off)
+  in
+  let width = oneofl [ 1; 2; 4; 8 ] in
+  frequency
+    [ (4, map2 (fun a w -> T_load (a, w)) addr width);
+      (4, map3 (fun a w v -> T_store (a, w, v)) addr width ui64);
+      (3, map2 (fun a w -> T_load_base (a, w)) addr width);
+      (3, map3 (fun a w v -> T_store_base (a, w, v)) addr width ui64);
+      (2, map2 (fun a n -> T_read (a, n)) addr (int_range 0 9000));
+      (2, map2 (fun a s -> T_write (a, s)) addr
+            (string_size ~gen:printable (int_range 0 9000)));
+      (1, return T_clear_dirty);
+      (2, map (fun p -> T_drop p) page);
+      (1, map (fun b -> T_track b) bool);
+      (1, return T_snapshot);
+      (1, return T_restore) ]
+
+let show_tlb_op = function
+  | T_load (a, w) -> Printf.sprintf "load %#x/%d" a w
+  | T_store (a, w, v) -> Printf.sprintf "store %#x/%d %Ld" a w v
+  | T_load_base (a, w) -> Printf.sprintf "load_base %#x/%d" a w
+  | T_store_base (a, w, v) -> Printf.sprintf "store_base %#x/%d %Ld" a w v
+  | T_read (a, n) -> Printf.sprintf "read %#x+%d" a n
+  | T_write (a, s) -> Printf.sprintf "write %#x+%d" a (String.length s)
+  | T_clear_dirty -> "clear_dirty"
+  | T_drop p -> Printf.sprintf "drop %#x" p
+  | T_track b -> Printf.sprintf "track %b" b
+  | T_snapshot -> "snapshot"
+  | T_restore -> "restore"
+
+(* Remote pages arrive with a pattern derived from their number. *)
+let remote_page p = Bytes.init Region.page_size (fun i -> Char.chr ((p + i) land 0xff))
+
+type model = {
+  mutable pages : (int, Bytes.t) Hashtbl.t;
+  mutable dirty : (int, unit) Hashtbl.t;
+  mutable track : bool;
+  mutable faults : int list;                 (* newest first *)
+}
+
+let model_page role md p =
+  match Hashtbl.find_opt md.pages p with
+  | Some b -> b
+  | None ->
+    let b =
+      match role with
+      | Memory.Home -> Bytes.make Region.page_size '\000'
+      | Memory.Remote ->
+        md.faults <- p :: md.faults;
+        remote_page p
+    in
+    Hashtbl.replace md.pages p b;
+    b
+
+let model_read role md a =
+  Char.code (Bytes.get (model_page role md (Region.page_of_addr a)) (Region.offset_in_page a))
+
+let model_write role md a v =
+  let p = Region.page_of_addr a in
+  Bytes.set (model_page role md p) (Region.offset_in_page a) (Char.chr (v land 0xff));
+  if md.track then Hashtbl.replace md.dirty p ()
+
+(* Byte orders follow [Scalar]: loads from the high byte down, stores
+   and blocks upward, so faults arrive in the same page order. *)
+let model_load role md a w =
+  let acc = ref 0L in
+  for i = w - 1 downto 0 do
+    acc := Int64.logor (Int64.shift_left !acc 8) (Int64.of_int (model_read role md (a + i)))
+  done;
+  !acc
+
+let model_store role md a w v =
+  for i = 0 to w - 1 do
+    model_write role md (a + i)
+      (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xff)
+  done
+
+let sorted_keys h = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) h [])
+
+let tlb_agrees role ops =
+  let mem = Memory.create role in
+  let md =
+    { pages = Hashtbl.create 64; dirty = Hashtbl.create 64; track = true;
+      faults = [] }
+  in
+  mem.Memory.track_dirty <- true;
+  let seen = ref [] in
+  mem.Memory.on_fault <-
+    Some
+      (fun m p ->
+        seen := p :: !seen;
+        Memory.install_page m p (remote_page p));
+  let snap = ref None in
+  let step op =
+    let same_value =
+      match op with
+      | T_load (a, w) ->
+        Int64.equal (Memory.load_le mem a w) (model_load role md a w)
+      | T_store (a, w, v) ->
+        Memory.store_le mem a w v;
+        model_store role md a w v;
+        true
+      | T_load_base (a, w) ->
+        let base = Memory.load_base mem a w in
+        let got =
+          if base < 0 then Memory.load_le mem a w
+          else Scalar.load_int Arch.Little
+              ~read_byte:(fun x -> Char.code (Bytes.get mem.Memory.slab (base + x - a)))
+              a w
+        in
+        Int64.equal got (model_load role md a w)
+      | T_store_base (a, w, v) ->
+        let base = Memory.store_base mem a w in
+        if base < 0 then Memory.store_le mem a w v
+        else
+          Scalar.store_int Arch.Little
+            ~write_byte:(fun x b -> Bytes.set mem.Memory.slab (base + x - a) (Char.chr b))
+            a w v;
+        model_store role md a w v;
+        true
+      | T_read (a, n) ->
+        Bytes.equal (Memory.read_block mem a n)
+          (Bytes.init n (fun i -> Char.chr (model_read role md (a + i))))
+      | T_write (a, s) ->
+        Memory.write_block mem a (Bytes.of_string s);
+        String.iteri (fun i c -> model_write role md (a + i) (Char.code c)) s;
+        true
+      | T_clear_dirty ->
+        Memory.clear_dirty mem;
+        Hashtbl.reset md.dirty;
+        true
+      | T_drop p ->
+        Memory.drop_page mem p;
+        Hashtbl.remove md.pages p;
+        Hashtbl.remove md.dirty p;
+        true
+      | T_track b ->
+        mem.Memory.track_dirty <- b;
+        md.track <- b;
+        true
+      | T_snapshot ->
+        let copy = Hashtbl.create 64 in
+        Hashtbl.iter (fun p b -> Hashtbl.replace copy p (Bytes.copy b)) md.pages;
+        snap := Some (Memory.snapshot mem, copy, Hashtbl.copy md.dirty, md.track);
+        true
+      | T_restore ->
+        (match !snap with
+        | Some (s, pages, dirty, track) ->
+          Memory.restore mem s;
+          md.pages <- Hashtbl.create 64;
+          Hashtbl.iter (fun p b -> Hashtbl.replace md.pages p (Bytes.copy b)) pages;
+          md.dirty <- Hashtbl.copy dirty;
+          md.track <- track
+        | None -> ());
+        true
+    in
+    same_value
+    && Memory.dirty_pages mem = sorted_keys md.dirty
+    && Memory.resident_pages mem = sorted_keys md.pages
+    && mem.Memory.fault_count = List.length md.faults
+    && !seen = md.faults
+  in
+  List.for_all step ops
+  && List.for_all
+       (fun p -> Bytes.equal (Memory.page_copy mem p) (Hashtbl.find md.pages p))
+       (sorted_keys md.pages)
+
+let prop_tlb_matches_model =
+  QCheck.Test.make ~name:"64-entry TLB matches a cacheless page table"
+    ~count:200
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_tlb_op ops))
+       QCheck.Gen.(list_size (int_range 1 60) gen_tlb_op))
+    (fun ops -> tlb_agrees Memory.Home ops && tlb_agrees Memory.Remote ops)
+
 let test_stack_regions () =
   let s = Stack_alloc.mobile () in
   let mark = Stack_alloc.frame_mark s in
@@ -312,6 +520,7 @@ let tests =
     Alcotest.test_case "uva coalescing" `Quick test_uva_coalescing;
     QCheck_alcotest.to_alcotest prop_uva_no_overlap;
     QCheck_alcotest.to_alcotest prop_touch_once_per_page;
+    QCheck_alcotest.to_alcotest prop_tlb_matches_model;
     Alcotest.test_case "stack regions" `Quick test_stack_regions;
     QCheck_alcotest.to_alcotest prop_scalar_roundtrip;
     QCheck_alcotest.to_alcotest prop_bswap_involution;
